@@ -27,23 +27,14 @@ from .data import CensorOption, TimeGrid, expand_step_terms, risk_summary
 from .errors import ConvergenceError, InputError, SingularMatrixError
 from .io import (build_data, dump_json, format_float, read_person_period_csv,
                  read_subject_csv, read_tables_csv, write_curve_csv)
-from .odds import (fit_beta, var_model_based2_odds, var_model_based3_odds,
-                   var_robust_odds)
+from .odds import VARIANCES, fit_beta
 from .plogit import fit_plogit, plogit_variances
-from .prob import (fit_gamma, var_model_based, var_model_based2, var_oldstyle,
-                   var_robust)
+from .prob import fit_gamma
 from .sim import replicate, scenario_from_json_dict, summary_to_csv
 from .survcurve import odds_curve, prob_curve
 from .twosample import bp_two_sample, wmh_two_sample
 
 __all__ = ["main"]
-
-_MODEL_VARIANCES = {
-    "prob": {"old": var_oldstyle, "mb": var_model_based,
-             "mb2": var_model_based2, "robust": var_robust},
-    "odds": {"mb2": var_model_based2_odds, "mb3": var_model_based3_odds,
-             "robust": var_robust_odds},
-}
 
 
 def _parse_args(argv):
@@ -107,7 +98,17 @@ def _grid_options(parser):
                         help="interval convention for censored times")
 
 
+def _number_list(text, option):
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise InputError(f"{option} expects comma-separated numbers "
+                         f"(got '{text}')") from None
+
+
 def _load_data(args):
+    """Read ``--data`` for ``fit`` and ``discretize``, on the grid the
+    options select, with any ``--tdc`` step terms appended."""
     if getattr(args, "person_period", False):
         if args.grid or args.width:
             raise InputError("person-period input is already discrete")
@@ -117,7 +118,7 @@ def _load_data(args):
     if args.grid is not None:
         if args.width is not None:
             raise InputError("give --grid or --width, not both")
-        grid = TimeGrid(np.array([float(v) for v in args.grid.split(",")]))
+        grid = TimeGrid(_number_list(args.grid, "--grid"))
     data = build_data(table, grid=grid, width=args.width,
                       censor=CensorOption(args.censor))
     for spec_str in getattr(args, "tdc", []):
@@ -140,8 +141,8 @@ def _variance_kinds(args, model):
     default = {"prob": ["mb2"], "odds": ["mb2"], "plogit": ["mb"]}[model]
     kinds = (default if args.variance is None
              else [k.strip() for k in args.variance.split(",") if k.strip()])
-    allowed = {"prob": {"old", "mb", "mb2"}, "odds": {"mb2", "mb3"},
-               "plogit": {"mb"}}[model]
+    allowed = (set(VARIANCES[model]) - {"robust"} if model in VARIANCES
+               else {"mb"})
     bad = set(kinds) - allowed
     if bad:
         raise InputError(f"variance kind(s) {sorted(bad)} not defined for "
@@ -153,25 +154,25 @@ def cmd_fit(args):
     data = _load_data(args)
     kinds = _variance_kinds(args, args.model)
 
-    if args.model == "prob":
-        fit = fit_gamma(data, tol=args.tol, max_iter=args.max_iter)
-        point, baseline = fit.gamma, fit.gamma0
-        ses = {k: _MODEL_VARIANCES["prob"][k](data, fit).se for k in kinds}
-        robust_se = var_robust(data, fit).se
-        baseline_label = "log_hazard"
-    elif args.model == "odds":
-        fit = fit_beta(data, tol=args.tol, max_iter=args.max_iter)
-        point, baseline = fit.beta, fit.beta0
-        ses = {k: _MODEL_VARIANCES["odds"][k](data, fit).se for k in kinds}
-        robust_se = var_robust_odds(data, fit).se
-        baseline_label = "log_odds"
-    else:
+    if args.model == "plogit":
         fit = fit_plogit(data, tol=args.tol, max_iter=args.max_iter)
         point, baseline = fit.beta, fit.beta0
         mb, robust = plogit_variances(data, fit)
         ses = {"mb": np.sqrt(np.diag(mb))} if "mb" in kinds else {}
         robust_se = np.sqrt(np.diag(robust))
         baseline_label = "log_odds"
+    else:
+        if args.model == "prob":
+            fit = fit_gamma(data, tol=args.tol, max_iter=args.max_iter)
+            point, baseline = fit.gamma, fit.gamma0
+            baseline_label = "log_hazard"
+        else:
+            fit = fit_beta(data, tol=args.tol, max_iter=args.max_iter)
+            point, baseline = fit.beta, fit.beta0
+            baseline_label = "log_odds"
+        table = VARIANCES[args.model]
+        ses = {k: table[k](data, fit).se for k in kinds}
+        robust_se = table["robust"](data, fit).se
 
     z = point / robust_se
     pvals = 2.0 * ndtr(-np.abs(z))
@@ -203,9 +204,7 @@ def cmd_fit(args):
     if args.curve is not None:
         if args.model == "plogit":
             raise InputError("--curve supports --model prob or odds only")
-        x0 = None
-        if args.x0 is not None:
-            x0 = np.array([float(v) for v in args.x0.split(",")])
+        x0 = None if args.x0 is None else _number_list(args.x0, "--x0")
         maker = prob_curve if args.model == "prob" else odds_curve
         curve = maker(data, fit, x0=x0)
         write_curve_csv(curve, data.grid.breakpoints, args.curve)
@@ -215,14 +214,20 @@ def cmd_fit(args):
     return 0
 
 
+def _write_json(report, target):
+    """Write ``report`` to the ``--json`` target ('-' for stdout), if any."""
+    if target is None:
+        return
+    text = dump_json(report)
+    if target == "-":
+        print(text)
+    else:
+        with open(target, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _emit_report(report, args):
-    if args.json is not None:
-        text = dump_json(report)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+    _write_json(report, args.json)
     if args.json != "-":
         _print_fit_table(report, include_baseline=getattr(args, "baseline", False))
 
@@ -250,14 +255,7 @@ def _print_fit_table(report, include_baseline=False):
 
 
 def cmd_discretize(args):
-    table = read_subject_csv(args.data)
-    grid = None
-    if args.grid is not None:
-        if args.width is not None:
-            raise InputError("give --grid or --width, not both")
-        grid = TimeGrid(np.array([float(v) for v in args.grid.split(",")]))
-    data = build_data(table, grid=grid, width=args.width,
-                      censor=CensorOption(args.censor))
+    data = _load_data(args)
     summary = risk_summary(data)
     print("interval  t        at_risk  events")
     for j in range(data.n_intervals):
@@ -297,13 +295,7 @@ def cmd_tables(args):
     except (InputError, ConvergenceError) as exc:
         report["wmh"] = {"error": str(exc)}
 
-    if args.json is not None:
-        text = dump_json(report)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+    _write_json(report, args.json)
     if args.json != "-":
         for tag, label in (("bp", "log probability ratio"),
                            ("wmh", "log odds ratio")):

@@ -68,8 +68,8 @@ class TimeGrid:
     @classmethod
     def from_width(cls, width: float, max_time: float) -> "TimeGrid":
         """Equal-width bins ``width, 2*width, ...`` covering ``[0, max_time]``."""
-        if width <= 0:
-            raise InputError("bin width must be positive")
+        if not (np.isfinite(width) and width > 0):
+            raise InputError(f"bin width must be positive and finite (got {width})")
         n_bins = max(int(np.ceil(max_time / width - 1e-12)), 1)
         return cls(width * np.arange(1, n_bins + 1))
 

@@ -35,7 +35,9 @@ import numpy as np
 from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import ConvergenceError, InputError, SingularMatrixError
-from .prob import VarianceEstimate, fit_gamma
+from .prob import (ProbInfluence, VarianceEstimate, _mean_over_intervals,
+                   _sandwich, _solve_spd, _symmetric_part, _weights, fit_gamma,
+                   var_model_based, var_model_based2, var_oldstyle, var_robust)
 
 __all__ = [
     "OddsFit",
@@ -60,14 +62,6 @@ __all__ = [
 # displayed double/triple sums cost O(m d^2) per risk set, and every
 # weight ratio carries equally many exponential factors above and below
 # the line, so the max-shift in _weights cancels exactly.
-
-def _weights(eta):
-    """Shifted exponential weights and the log of their true-scale sum."""
-    c = float(np.max(eta)) if eta.size else 0.0
-    w = np.exp(eta - c)
-    s0 = float(w.sum())
-    return w, s0, c
-
 
 def _degenerate(D):
     """Risk sets with no events or with only events contribute zero."""
@@ -244,54 +238,19 @@ class OddsFit:
     warnings: list = field(default_factory=list)
 
 
-@dataclass
-class OddsInfluence:
-    """Per-subject influence vectors ``g_i = sum_j (g_j1 + g_j2)(i)``."""
-
-    total: np.ndarray
-    per_interval: dict | None = None
-
-
-@dataclass
-class OddsVarianceEstimate(VarianceEstimate):
-    """Variance estimate for the hazard-odds coefficients (same layout
-    and rescaling conventions as the hazard-probability one)."""
+# the influence vectors ``g_i = sum_j (g_j1 + g_j2)(i)`` and the variance
+# estimates share the hazard-probability model's layout
+OddsInfluence = ProbInfluence
+OddsVarianceEstimate = VarianceEstimate
 
 
 # ---------------------------------------------------------------------------
 # score / jacobian / fitting
 # ---------------------------------------------------------------------------
 
-def _solve(mat, rhs, context):
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{context}: singular matrix") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularMatrixError(f"{context}: non-finite solve result")
-    return out
-
-
-def _score_raw(rs, d, beta):
-    out = np.zeros(d)
-    for j in rs.event_intervals:
-        _, X, D, eta = rs.interval(j, beta)
-        out += interval_score_odds(X, D, eta)
-    return out
-
-
-def _jacobian_raw(rs, d, beta):
-    out = np.zeros((d, d))
-    for j in rs.event_intervals:
-        _, X, D, eta = rs.interval(j, beta)
-        out += interval_jacobian_odds(X, D, eta)
-    return out
-
-
 def score_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    beta = np.asarray(beta, dtype=float)
-    return _score_raw(RiskSets(data), data.d, beta) / data.n
+    return _mean_over_intervals(data, beta, interval_score_odds)
 
 
 def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
@@ -300,12 +259,12 @@ def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     This is the sample analog of the population derivative matrix, not
     necessarily the exact derivative of the sample score under ties.
     """
-    beta = np.asarray(beta, dtype=float)
-    return _jacobian_raw(RiskSets(data), data.d, beta) / data.n
+    return _mean_over_intervals(data, beta, interval_jacobian_odds)
 
 
-def _fd_jacobian_raw(rs, d, beta):
+def _fd_jacobian_raw(rs, beta):
     """Central-difference Jacobian of the raw sample score (fallback)."""
+    d = beta.size
     out = np.empty((d, d))
     for k in range(d):
         h = 1e-6 * (1.0 + abs(beta[k]))
@@ -313,7 +272,9 @@ def _fd_jacobian_raw(rs, d, beta):
         up[k] += h
         dn = beta.copy()
         dn[k] -= h
-        out[:, k] = (_score_raw(rs, d, dn) - _score_raw(rs, d, up)) / (2.0 * h)
+        lo, = rs.sums(dn, interval_score_odds)
+        hi, = rs.sums(up, interval_score_odds)
+        out[:, k] = (lo - hi) / (2.0 * h)
     return out
 
 
@@ -337,9 +298,9 @@ def baseline_log_odds(data: DiscreteSurvivalData, beta) -> np.ndarray:
     return out
 
 
-def _newton(rs, n, d, start, tol, max_iter):
+def _newton(rs, n, start, tol, max_iter):
     beta = np.asarray(start, dtype=float).copy()
-    score = _score_raw(rs, d, beta)
+    score, = rs.sums(beta, interval_score_odds)
     merit = float(np.linalg.norm(score))
     score_norm = float(np.max(np.abs(score))) / n
     converged = score_norm <= tol
@@ -348,17 +309,17 @@ def _newton(rs, n, d, start, tol, max_iter):
         if converged:
             it -= 1
             break
-        jac = _jacobian_raw(rs, d, beta)
+        jac, = rs.sums(beta, interval_jacobian_odds)
         try:
-            step = _solve(jac, score, "fit_beta")
+            step = _solve_spd(jac, score, "fit_beta")
         except SingularMatrixError:
             if score_norm <= tol:
                 break
             raise
-        hit = _backtrack(rs, n, d, beta, step, merit)
+        hit = _backtrack(rs, beta, step, merit)
         if hit is None:
-            step = _solve(_fd_jacobian_raw(rs, d, beta), score, "fit_beta[fd]")
-            hit = _backtrack(rs, n, d, beta, step, merit)
+            step = _solve_spd(_fd_jacobian_raw(rs, beta), score, "fit_beta[fd]")
+            hit = _backtrack(rs, beta, step, merit)
         if hit is None:
             raise ConvergenceError("fit_beta: line search stalled",
                                    iterations=it, score_norm=score_norm)
@@ -376,11 +337,11 @@ def _newton(rs, n, d, start, tol, max_iter):
     return beta, score_norm, it
 
 
-def _backtrack(rs, n, d, beta, step, merit):
+def _backtrack(rs, beta, step, merit):
     t = 1.0
     while t >= 2.0 ** -40:
         cand = beta + t * step
-        cand_score = _score_raw(rs, d, cand)
+        cand_score, = rs.sums(cand, interval_score_odds)
         cand_merit = float(np.linalg.norm(cand_score))
         if cand_merit < merit:
             return cand, cand_score, cand_merit
@@ -438,7 +399,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     failures = []
     for label, start in starts:
         try:
-            solved.append((label, _newton(rs, n, d, start, tol, max_iter)))
+            solved.append((label, _newton(rs, n, start, tol, max_iter)))
         except (ConvergenceError, SingularMatrixError) as exc:
             if not multistart:
                 raise
@@ -465,7 +426,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
             f"{n_all_events} risk set(s) consist entirely of events; "
             "their baseline log-odds are +inf and they contribute nothing to the fit")
     beta0 = baseline_log_odds(data, beta)
-    jac = _jacobian_raw(rs, d, beta) / n
+    jac = rs.sums(beta, interval_jacobian_odds)[0] / n
     return OddsFit(beta=beta, beta0=beta0, jacobian=jac, score_norm=score_norm,
                    iterations=iterations, init=label, n=n, warnings=warnings)
 
@@ -474,64 +435,43 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
 # variance estimators
 # ---------------------------------------------------------------------------
 
-def influence_odds(data: DiscreteSurvivalData, fit: OddsFit,
-                   per_interval: bool = False) -> OddsInfluence:
+def influence_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsInfluence:
     """Per-subject influence sums ``g_i`` entering the robust sandwich."""
-    rs = RiskSets(data)
-    total = np.zeros((data.n, data.d))
-    pieces = {} if per_interval else None
-    for j in rs.event_intervals:
-        idx, X, D, eta = rs.interval(j, fit.beta)
-        rows = interval_influence_odds(X, D, eta)
-        total[idx] += rows
-        if per_interval:
-            piece = np.zeros((data.n, data.d))
-            piece[idx] = rows
-            pieces[int(j)] = piece
-    return OddsInfluence(total=total, per_interval=pieces)
-
-
-def _sandwich_odds(jac, meat, n, kind, robust):
-    inv = _solve(jac, np.eye(jac.shape[0]), f"var_{kind}")
-    right = inv.T if robust else inv
-    mat = inv @ meat @ right
-    return OddsVarianceEstimate(kind=kind, matrix=0.5 * (mat + mat.T), n=n)
-
-
-def _interval_meat(data, fit, kernel):
-    rs = RiskSets(data)
-    meat = np.zeros((data.d, data.d))
-    for j in rs.event_intervals:
-        _, X, D, eta = rs.interval(j, fit.beta)
-        meat += kernel(X, D, eta)
-    return meat / data.n
+    return OddsInfluence(
+        total=RiskSets(data).scatter(fit.beta, interval_influence_odds))
 
 
 def var_robust_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Model-robust sandwich ``H^-1 G H^-T`` with empirical influence meat."""
     g = influence_odds(data, fit).total
     meat = (g.T @ g) / data.n
-    return _sandwich_odds(fit.jacobian, meat, data.n, "robust", robust=True)
+    return _sandwich(fit.jacobian, meat, data.n, "robust", transpose_right=True)
 
 
 def var_model_based_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Classical model-based sandwich ``H^-1 G_b H^-1`` (valid without ties)."""
-    meat = _interval_meat(data, fit, interval_gb)
-    return _sandwich_odds(fit.jacobian, meat, data.n, "model_based", robust=False)
+    meat = _mean_over_intervals(data, fit.beta, interval_gb)
+    return _sandwich(fit.jacobian, meat, data.n, "model_based")
 
 
 def var_model_based2_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Tie-aware model-based sandwich from conditionally unbiased pieces."""
-
-    def kernel(X, D, eta):
-        s = interval_sigma_hat(X, D, eta)
-        return 0.5 * (s + s.T)
-
-    meat = _interval_meat(data, fit, kernel)
-    return _sandwich_odds(fit.jacobian, meat, data.n, "model_based2", robust=False)
+    meat = _mean_over_intervals(data, fit.beta,
+                                _symmetric_part(interval_sigma_hat))
+    return _sandwich(fit.jacobian, meat, data.n, "model_based2")
 
 
 def var_model_based3_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Sparse-table-style model-based sandwich (three-way event products)."""
-    meat = _interval_meat(data, fit, interval_sigma_tilde)
-    return _sandwich_odds(fit.jacobian, meat, data.n, "model_based3", robust=False)
+    meat = _mean_over_intervals(data, fit.beta, interval_sigma_tilde)
+    return _sandwich(fit.jacobian, meat, data.n, "model_based3")
+
+
+# the variance estimators by model and by the short kind names the CLI
+# and the simulation harness use
+VARIANCES = {
+    "prob": {"old": var_oldstyle, "mb": var_model_based,
+             "mb2": var_model_based2, "robust": var_robust},
+    "odds": {"mb2": var_model_based2_odds, "mb3": var_model_based3_odds,
+             "robust": var_robust_odds},
+}

@@ -68,22 +68,21 @@ class PlogitFit:
 
 
 def _person_period(data):
-    """Triples ``(j, member indices, X rows, event indicators)`` for the
+    """Triples ``(member indices, X rows, event indicators)`` for the
     intervals that carry a finite intercept."""
     rs = RiskSets(data)
     live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
+    zero = np.zeros(data.d)
     triples = []
     for j in np.flatnonzero(live) + 1:
-        idx = rs.members(j)
-        X = data.covariates_at(j)[idx]
-        D = ((data.y[idx] == j) & data.delta[idx]).astype(float)
-        triples.append((int(j), idx, X, D))
+        idx, X, D, _ = rs.interval(j, zero)
+        triples.append((idx, X, D.astype(float)))
     return rs, live, triples
 
 
 def _loglik(triples, b0, beta):
     out = 0.0
-    for k, (_, _, X, D) in enumerate(triples):
+    for k, (_, X, D) in enumerate(triples):
         z = b0[k] + X @ beta
         out += float(D @ z - np.logaddexp(0.0, z).sum())
     return out
@@ -97,7 +96,7 @@ def _score_info(triples, b0, beta, d):
     C = np.empty((K, d))
     rb = np.zeros(d)
     F = np.zeros((d, d))
-    for k, (_, _, X, D) in enumerate(triples):
+    for k, (_, X, D) in enumerate(triples):
         p = _expit(b0[k] + X @ beta)
         resid = D - p
         v = p * (1.0 - p)
@@ -154,8 +153,7 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     n, d, J = data.n, data.d, data.n_intervals
     K = len(triples)
 
-    T = np.array([D.sum() for _, _, _, D in triples])
-    m = np.array([len(idx) for _, idx, _, _ in triples])
+    T, m = rs.n_events[live], rs.n_at_risk[live]
     b0 = np.log(T / (m - T))
     beta = np.zeros(d)
     obj = _loglik(triples, b0, beta)
@@ -216,9 +214,9 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
 
     beta0 = np.full(J, -np.inf)
     beta0[rs.n_events == rs.n_at_risk] = np.inf
-    beta0[np.flatnonzero(live)] = b0
+    beta0[live] = b0
     _, _, a, C, F = _score_info(triples, b0, beta, d)
-    pos = np.array([j - 1 for j, _, _, _ in triples])
+    pos = np.flatnonzero(live)
     if full_fisher:
         fisher = np.zeros((J + d, J + d))
         fisher[pos, pos] = a
@@ -255,9 +253,9 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
         person-period rows (clustering by subject), so repeated rows
         from one subject are not treated as independent.
     """
-    rs, live, triples = _person_period(data)
+    _, live, triples = _person_period(data)
     n, d, J = data.n, data.d, data.n_intervals
-    pos = np.array([j - 1 for j, _, _, _ in triples])
+    pos = np.flatnonzero(live)
     K = pos.size
     if fit.fisher.shape[0] == K + d:  # compact layout (full_fisher=False)
         info = fit.fisher
@@ -272,7 +270,7 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
     model_based = inv[K:, K:]
 
     scores = np.zeros((n, K + d))
-    for k, (_, idx, X, D) in enumerate(triples):
+    for k, (idx, X, D) in enumerate(triples):
         resid = D - _expit(fit.beta0[pos[k]] + X @ fit.beta)
         scores[idx, k] = resid
         scores[idx, K:] += resid[:, None] * X

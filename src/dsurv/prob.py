@@ -128,7 +128,7 @@ def interval_influence(X, D, eta):
     return resid[:, None] * (X - xbar)
 
 
-def _objective_term(D, eta):
+def _objective_term(X, D, eta):
     """Raw log-partial-likelihood contribution of one risk set."""
     T = int(D.sum())
     if T == 0:
@@ -171,14 +171,13 @@ class ProbFit:
 
 @dataclass
 class ProbInfluence:
-    """Per-subject influence vectors ``h_i = sum_j h_j(i)``.
+    """Per-subject influence vectors, summed over intervals: ``h_i`` for
+    the probability model, ``g_i`` for the odds model.
 
-    ``total`` has one row per subject; ``per_interval`` (optional) maps
-    interval ``j`` to an ``(n, d)`` array of that interval's pieces.
+    ``total`` has one row per subject.
     """
 
     total: np.ndarray
-    per_interval: dict | None = None
 
 
 @dataclass
@@ -207,36 +206,20 @@ class VarianceEstimate:
 # score / hessian / fitting
 # ---------------------------------------------------------------------------
 
-def _accumulate(data, gamma, want_hessian=False, want_objective=False,
-                rs=None):
-    if rs is None:
-        rs = RiskSets(data)
-    d = data.d
-    score = np.zeros(d)
-    hess = np.zeros((d, d)) if want_hessian else None
-    obj = 0.0
-    for j in rs.event_intervals:
-        _, X, D, eta = rs.interval(j, gamma)
-        score += interval_score(X, D, eta)
-        if want_hessian:
-            hess += interval_hessian(X, D, eta)
-        if want_objective:
-            obj += _objective_term(D, eta)
-    return rs, score, hess, obj
+def _mean_over_intervals(data, coef, kernel):
+    """``1/n`` times the total of ``kernel`` over the event intervals."""
+    coef = np.asarray(coef, dtype=float)
+    return RiskSets(data).sums(coef, kernel)[0] / data.n
 
 
 def score_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    gamma = np.asarray(gamma, dtype=float)
-    _, score, _, _ = _accumulate(data, gamma)
-    return score / data.n
+    return _mean_over_intervals(data, gamma, interval_score)
 
 
 def hessian_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """``B_hat(gamma)``: 1/n times the negative Hessian of the sample objective."""
-    gamma = np.asarray(gamma, dtype=float)
-    _, _, hess, _ = _accumulate(data, gamma, want_hessian=True)
-    return hess / data.n
+    return _mean_over_intervals(data, gamma, interval_hessian)
 
 
 def _objective(data, rs, gamma):
@@ -250,14 +233,11 @@ def _objective(data, rs, gamma):
         T = rs.n_events[ev - 1]
         logS0 = cum[rs.n_at_risk[ev - 1] - 1]
         return float(eta[data.delta].sum() - T @ logS0)
-    obj = 0.0
-    for j in rs.event_intervals:
-        _, _, D, eta = rs.interval(j, gamma)
-        obj += _objective_term(D, eta)
-    return obj
+    return rs.sums(gamma, _objective_term)[0]
 
 
 def _solve_spd(mat, vec_or_mat, context):
+    """``mat^-1 vec_or_mat``, raising SingularMatrixError when it does not exist."""
     try:
         out = np.linalg.solve(mat, vec_or_mat)
     except np.linalg.LinAlgError as exc:
@@ -321,8 +301,7 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
     it = 0
     obj = _objective(data, rs, gamma)
     for it in range(1, max_iter + 1):
-        _, score, hess, _ = _accumulate(data, gamma, want_hessian=True,
-                                        rs=rs)
+        score, hess = rs.sums(gamma, interval_score, interval_hessian)
         score_norm = float(np.max(np.abs(score))) / n
         if score_norm <= tol:
             converged = True
@@ -343,7 +322,7 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
             # slightly above tol; fall back to a plain Newton step as long
             # as it shrinks the score
             cand = gamma + step
-            _, cand_score, _, _ = _accumulate(data, cand, rs=rs)
+            cand_score, = rs.sums(cand, interval_score)
             if float(np.max(np.abs(cand_score))) / n < score_norm:
                 gamma = cand
                 obj = _objective(data, rs, cand)
@@ -355,14 +334,14 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
                 "fit_gamma: divergence (monotone likelihood suspected)",
                 iterations=it, score_norm=score_norm)
     if not converged:
-        _, score, _, _ = _accumulate(data, gamma, rs=rs)
+        score, = rs.sums(gamma, interval_score)
         score_norm = float(np.max(np.abs(score))) / n
         if score_norm > tol:
             raise ConvergenceError(
                 f"fit_gamma: no convergence in {max_iter} iterations",
                 iterations=max_iter, score_norm=score_norm)
 
-    hess = hessian_gamma(data, gamma)
+    hess = rs.sums(gamma, interval_hessian)[0] / n
     gamma0 = baseline_log_hazards(data, gamma)
     warnings = []
     if np.max(np.abs(gamma)) > 10.0:
@@ -390,27 +369,28 @@ def _count_hazards_over_one(data, rs, gamma, gamma0):
 # variance estimators
 # ---------------------------------------------------------------------------
 
-def influence_prob(data: DiscreteSurvivalData, fit: ProbFit,
-                   per_interval: bool = False) -> ProbInfluence:
+def influence_prob(data: DiscreteSurvivalData, fit: ProbFit) -> ProbInfluence:
     """Per-subject influence sums ``h_i`` entering the robust sandwich."""
-    rs = RiskSets(data)
-    total = np.zeros((data.n, data.d))
-    pieces = {} if per_interval else None
-    for j in rs.event_intervals:
-        idx, X, D, eta = rs.interval(j, fit.gamma)
-        rows = interval_influence(X, D, eta)
-        total[idx] += rows
-        if per_interval:
-            piece = np.zeros((data.n, data.d))
-            piece[idx] = rows
-            pieces[int(j)] = piece
-    return ProbInfluence(total=total, per_interval=pieces)
+    return ProbInfluence(
+        total=RiskSets(data).scatter(fit.gamma, interval_influence))
 
 
-def _sandwich(bread, meat, n, kind):
+def _sandwich(bread, meat, n, kind, transpose_right=False):
+    """``inv @ meat @ inv`` with ``inv = bread^-1``, or ``inv @ meat @ inv.T``
+    for a non-symmetric bread, symmetrized."""
     inv = _solve_spd(bread, np.eye(bread.shape[0]), f"var_{kind}")
-    mat = inv @ meat @ inv
+    mat = inv @ meat @ (inv.T if transpose_right else inv)
     return VarianceEstimate(kind=kind, matrix=0.5 * (mat + mat.T), n=n)
+
+
+def _symmetric_part(kernel):
+    """Kernel returning the symmetric part of ``kernel``'s matrix."""
+
+    def symmetric(X, D, eta):
+        v = kernel(X, D, eta)
+        return 0.5 * (v + v.T)
+
+    return symmetric
 
 
 def var_robust(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
@@ -422,23 +402,14 @@ def var_robust(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
 
 def var_model_based(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
     """Model-based sandwich with ``p(1-p)``-weighted meat (valid without ties)."""
-    rs = RiskSets(data)
-    meat = np.zeros((data.d, data.d))
-    for j in rs.event_intervals:
-        _, X, D, eta = rs.interval(j, fit.gamma)
-        meat += interval_ab(X, D, eta)
-    return _sandwich(fit.hessian, meat / data.n, data.n, "model_based")
+    meat = _mean_over_intervals(data, fit.gamma, interval_ab)
+    return _sandwich(fit.hessian, meat, data.n, "model_based")
 
 
 def var_model_based2(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
     """Tie-aware model-based sandwich from conditionally unbiased pieces."""
-    rs = RiskSets(data)
-    meat = np.zeros((data.d, data.d))
-    for j in rs.event_intervals:
-        _, X, D, eta = rs.interval(j, fit.gamma)
-        v = interval_vhat(X, D, eta)
-        meat += 0.5 * (v + v.T)
-    return _sandwich(fit.hessian, meat / data.n, data.n, "model_based2")
+    meat = _mean_over_intervals(data, fit.gamma, _symmetric_part(interval_vhat))
+    return _sandwich(fit.hessian, meat, data.n, "model_based2")
 
 
 def var_oldstyle(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:

@@ -29,7 +29,7 @@ from . import odds as _odds
 from . import prob as _prob
 from .data import CensorOption, DiscreteSurvivalData, TimeGrid, discretize
 from .errors import ConvergenceError, InputError, SingularMatrixError
-from .plogit import fit_plogit, plogit_variances
+from .plogit import _expit, fit_plogit, plogit_variances
 
 __all__ = [
     "SimScenario",
@@ -162,17 +162,6 @@ def generate(scenario: SimScenario, rep_index: int) -> DiscreteSurvivalData:
 # replication engine
 # ---------------------------------------------------------------------------
 
-_BP_VARIANCES = {
-    "old": _prob.var_oldstyle,
-    "mb": _prob.var_model_based,
-    "mb2": _prob.var_model_based2,
-    "robust": _prob.var_robust,
-}
-_WMH_VARIANCES = {
-    "mb2": _odds.var_model_based2_odds,
-    "mb3": _odds.var_model_based3_odds,
-    "robust": _odds.var_robust_odds,
-}
 _FIT_ERRORS = (ConvergenceError, SingularMatrixError, InputError,
                np.linalg.LinAlgError)
 
@@ -195,17 +184,18 @@ class SimSummary:
     n_failed: dict = field(default_factory=dict)
 
 
-def _fit_one(method, data, kinds):
-    if method == "bp":
-        fit = _prob.fit_gamma(data)
-        point = fit.gamma
-        variances = {k: _BP_VARIANCES[k](data, fit).covariance
-                     for k in kinds if k in _BP_VARIANCES}
-    elif method == "wmh":
-        fit = _odds.fit_beta(data)
-        point = fit.beta
-        variances = {k: _WMH_VARIANCES[k](data, fit).covariance
-                     for k in kinds if k in _WMH_VARIANCES}
+def _fit_one(method, data, kinds, gamma=None):
+    """Fit one method; ``wmh`` starts from ``gamma``, the ``bp`` root,
+    when one is given, which is where ``fit_beta`` starts by default."""
+    if method in ("bp", "wmh"):
+        if method == "bp":
+            fit = _prob.fit_gamma(data)
+            point, table = fit.gamma, _odds.VARIANCES["prob"]
+        else:
+            fit = _odds.fit_beta(data, init=gamma)
+            point, table = fit.beta, _odds.VARIANCES["odds"]
+        variances = {k: table[k](data, fit).covariance
+                     for k in kinds if k in table}
     elif method == "plogit":
         fit = fit_plogit(data, full_fisher=False)
         point = fit.beta
@@ -222,8 +212,10 @@ def _run_rep(args):
     data = generate(scenario, rep)
     out = {}
     for method in methods:
+        bp = out.get("bp")
         try:
-            out[method] = _fit_one(method, data, kinds)
+            out[method] = _fit_one(method, data, kinds,
+                                   None if bp is None else bp[0])
         except _FIT_ERRORS:
             out[method] = None
     return rep, out
@@ -358,9 +350,7 @@ def enumerate_conditional(X, intercept: float, coef, model: str = "prob",
         kernels = [lambda D: _prob.interval_score(X, D, eta),
                    lambda D: _prob.interval_vhat(X, D, eta)]
     elif model == "odds":
-        z = intercept + eta
-        p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
-                     np.exp(z) / (1.0 + np.exp(z)))
+        p = _expit(intercept + eta)
         kernels = [lambda D: _odds.interval_score_odds(X, D, eta),
                    lambda D: _odds.interval_sigma_hat(X, D, eta),
                    lambda D: _odds.interval_sigma_tilde(X, D, eta,

@@ -29,6 +29,7 @@ from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import InputError
 from .odds import OddsFit, influence_odds, var_model_based2_odds
+from .plogit import _expit
 from .prob import (ProbFit, VarianceEstimate, influence_prob,
                    var_model_based2, _solve_spd, _weights)
 
@@ -79,15 +80,6 @@ class SurvivalCurve:
     flags: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     work: SurvCurveWork | None = None
-
-
-def _expit(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _check_profile(data, fit, x0):

@@ -196,6 +196,22 @@ def test_exit_codes(tmp_path, capsys):
     assert __version__ in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("options", [
+    ["fit", "--model", "prob", "--width", "nan"],
+    ["fit", "--model", "prob", "--grid", "1,abc"],
+    ["discretize", "--grid", "1,abc"],
+    ["fit", "--model", "prob", "--x0", "1,x", "--curve", "curve.csv"],
+], ids=["fit-width-nan", "fit-grid", "discretize-grid", "fit-x0"])
+def test_malformed_numeric_options_fail_with_input_error(tmp_path, capsys,
+                                                         options):
+    command, *rest = options
+    rest = [str(tmp_path / v) if v.endswith(".csv") else v for v in rest]
+    assert main([command, "--data", _subject_csv(tmp_path), *rest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: ")
+    assert "Traceback" not in err
+
+
 def _scenario_file(tmp_path, name, seed):
     path = tmp_path / name
     path.write_text(json.dumps({

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ import _oracles as o
 from dsurv import (ConvergenceError, DiscreteSurvivalData, InputError,
                    OddsVarianceEstimate, Static, SubjectRecord, TimeGrid,
                    VarianceEstimate, baseline_log_odds, fit_beta, fit_gamma,
-                   jacobian_beta, score_beta, var_model_based2_odds,
-                   var_model_based3_odds, var_model_based_odds,
-                   var_robust_odds)
+                   jacobian_beta, score_beta, var_model_based2,
+                   var_model_based2_odds, var_model_based3_odds,
+                   var_model_based_odds, var_robust, var_robust_odds)
 from dsurv.odds import (interval_gb, interval_influence_odds,
                         interval_jacobian_odds, interval_score_odds,
                         interval_sigma_hat, interval_sigma_tilde)
@@ -308,3 +310,29 @@ def test_variance_estimate_type_and_scaling():
     assert isinstance(v, VarianceEstimate)
     np.testing.assert_allclose(v.matrix, v.covariance * data.n)
     np.testing.assert_allclose(v.se, np.sqrt(np.diag(v.covariance)))
+
+
+def test_original_scale_fits_need_memory_linear_in_n():
+    # one interval per distinct time and no ties, so J = n and the risk
+    # sets hold n(n+1)/2 rows in all; copying each event interval's rows
+    # peaks at about 55 MiB here
+    n = 1500
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.integers(0, 2, n), rng.standard_normal((n, 3))])
+    t = rng.exponential(np.exp(-X @ np.array([0.5, -0.3, 0.2, 0.1])))
+    c = rng.uniform(0.0, 3.0, n)
+    y = np.argsort(np.argsort(np.minimum(t, c))) + 1
+    data = _make(y, t <= c, X, n)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pfit = fit_gamma(data)
+        var_model_based2(data, pfit)
+        var_robust(data, pfit)
+        ofit = fit_beta(data)
+        var_robust_odds(data, ofit)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, f"peak allocation {peak / 2 ** 20:.1f} MiB"

@@ -283,9 +283,8 @@ def test_robust_variance_matches_literal_per_subject_influence():
     np.testing.assert_allclose(var_robust(data, fit).covariance,
                                inv @ (h.T @ h) @ inv, atol=1e-12)
 
-    infl = influence_prob(data, fit, per_interval=True)
+    infl = influence_prob(data, fit)
     np.testing.assert_allclose(infl.total, h, atol=1e-12)
-    np.testing.assert_allclose(sum(infl.per_interval.values()), h, atol=1e-12)
     # at the root the per-subject influences sum to the (zero) score
     np.testing.assert_allclose(infl.total.sum(axis=0), np.zeros(2), atol=1e-8)
 

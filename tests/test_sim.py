@@ -203,3 +203,17 @@ def test_single_member_risk_sets_have_zero_moments():
         np.testing.assert_array_equal(em.score_mean, [0.0])
         np.testing.assert_array_equal(em.score_cov, [[0.0]])
         np.testing.assert_array_equal(em.meat_mean, [[0.0]])
+
+
+def test_wmh_from_the_bp_root_matches_its_own_start_exactly():
+    # with bp fitted first, wmh starts from bp's root instead of
+    # re-solving it; that is fit_beta's own default start
+    sc = _scenario(reps=6)
+    both = replicate(sc, methods=("bp", "wmh"))
+    alone = replicate(sc, methods=("wmh",))
+    assert both.n_failed["wmh"] == alone.n_failed["wmh"]
+    np.testing.assert_array_equal(both.point_mean["wmh"], alone.point_mean["wmh"])
+    np.testing.assert_array_equal(both.point_sd["wmh"], alone.point_sd["wmh"])
+    assert both.se_mean["wmh"].keys() == alone.se_mean["wmh"].keys()
+    for kind, se in alone.se_mean["wmh"].items():
+        np.testing.assert_array_equal(both.se_mean["wmh"][kind], se)
