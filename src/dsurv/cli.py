@@ -153,6 +153,12 @@ def _variance_kinds(args, model):
 def cmd_fit(args):
     data = _load_data(args)
     kinds = _variance_kinds(args, args.model)
+    x0 = None
+    if args.x0 is not None:
+        x0 = _number_list(args.x0, "--x0")
+        if x0.shape != (data.d,):
+            raise InputError(f"--x0 needs {data.d} values, one per covariate "
+                             f"{data.covariate_names} (got {x0.size})")
 
     if args.model == "plogit":
         fit = fit_plogit(data, tol=args.tol, max_iter=args.max_iter)
@@ -171,7 +177,8 @@ def cmd_fit(args):
             point, baseline = fit.beta, fit.beta0
             baseline_label = "log_odds"
         table = VARIANCES[args.model]
-        ses = {k: table[k](data, fit).se for k in kinds}
+        estimates = {k: table[k](data, fit) for k in kinds}
+        ses = {k: v.se for k, v in estimates.items()}
         robust_se = table["robust"](data, fit).se
 
     z = point / robust_se
@@ -204,9 +211,9 @@ def cmd_fit(args):
     if args.curve is not None:
         if args.model == "plogit":
             raise InputError("--curve supports --model prob or odds only")
-        x0 = None if args.x0 is None else _number_list(args.x0, "--x0")
         maker = prob_curve if args.model == "prob" else odds_curve
-        curve = maker(data, fit, x0=x0)
+        # the curve's default variance is the mb2 estimate made above
+        curve = maker(data, fit, x0=x0, variance=estimates.get("mb2"))
         write_curve_csv(curve, data.grid.breakpoints, args.curve)
         report["warnings"] += list(curve.warnings)
 

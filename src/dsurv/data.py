@@ -206,6 +206,15 @@ class DiscreteSurvivalData:
             return self._X
         return self._X[:, j - 1, :]
 
+    def covariate_changes(self) -> np.ndarray:
+        """Intervals ``j > 1`` at which a subject still at risk has other
+        covariates than at ``j - 1`` (empty for static covariates)."""
+        if self._static or self.n_intervals < 2:
+            return np.zeros(0, dtype=np.intp)
+        changed = np.any(self._X[:, 1:] != self._X[:, :-1], axis=2)
+        at_risk = self.y[:, None] >= np.arange(2, self.n_intervals + 1)
+        return np.flatnonzero(np.any(changed & at_risk, axis=0)) + 2
+
     def recentered(self, x0) -> "DiscreteSurvivalData":
         """Return a copy with ``x0`` subtracted from every covariate path."""
         x0 = np.asarray(x0, dtype=float)

@@ -35,9 +35,9 @@ import numpy as np
 from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import ConvergenceError, InputError, SingularMatrixError
-from .prob import (ProbInfluence, VarianceEstimate, _mean_over_intervals,
-                   _sandwich, _solve_spd, _symmetric_part, _weights, fit_gamma,
-                   var_model_based, var_model_based2, var_oldstyle, var_robust)
+from .prob import (ProbInfluence, VarianceEstimate, _col, _mean_terms, _outer,
+                   _sandwich, _solve_spd, _symmetric, fit_gamma, var_model_based,
+                   var_model_based2, var_oldstyle, var_robust)
 
 __all__ = [
     "OddsFit",
@@ -55,150 +55,83 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# per-interval kernels (raw sums; module-level wrappers divide by n)
+# per-interval terms over the risk-set aggregates (raw sums; the
+# module-level wrappers divide by n)
 # ---------------------------------------------------------------------------
 #
-# Every kernel is written in terms of risk-set aggregates so that the
-# displayed double/triple sums cost O(m d^2) per risk set, and every
-# weight ratio carries equally many exponential factors above and below
-# the line, so the max-shift in _weights cancels exactly.
+# Risk sets with no events or only events contribute zero, so each term
+# function is applied to the aggregates of the mixed risk sets only.
+# Every weight ratio carries equally many exponential factors above and
+# below the line, so the aggregates' shift cancels exactly.
 
-def _degenerate(D):
-    """Risk sets with no events or with only events contribute zero."""
-    T = int(D.sum())
-    return T, (T == 0 or T == D.size)
+def _mixed(a):
+    return a.subset(a.T < a.m)
 
 
-def interval_score_odds(X, D, eta):
-    """Raw score term ``(S0d * sum_i D_i X_i - T * sum_i (1-D_i) w_i X_i) / S0``."""
-    T, skip = _degenerate(D)
-    if skip:
-        return np.zeros(X.shape[1])
-    w, s0, _ = _weights(eta)
-    wn = w * ~D
-    s0d = float(wn.sum())
-    M1 = wn @ X
-    SD1 = X[D].sum(axis=0)
-    return (s0d * SD1 - T * M1) / s0
+def _with_mixed(terms):
+    """Total of ``terms`` over the mixed risk sets."""
+    return lambda a: terms(_mixed(a))
 
 
-def interval_jacobian_odds(X, D, eta):
-    """Raw Jacobian term ``sum_i (1-D_i) w_i (T X_i - SD1)(X_i - xbar)' / S0``.
+def score_odds_terms(a):
+    """Raw score terms ``(S0d * sum_i D_i X_i - T * sum_i (1-D_i) w_i X_i) / S0``."""
+    return (a.s0d[:, None] * a.SD1 - a.T[:, None] * a.M1) / a.S0[:, None]
+
+
+def jacobian_odds_terms(a):
+    """Raw Jacobian terms ``sum_i (1-D_i) w_i (T X_i - SD1)(X_i - xbar)' / S0``.
 
     This is the sample analog of the population derivative of the score
     in ``-beta'``; it is generally non-symmetric under ties.
     """
-    d = X.shape[1]
-    T, skip = _degenerate(D)
-    if skip:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    wn = w * ~D
-    s0d = float(wn.sum())
-    M1 = wn @ X
-    M2 = X.T @ (X * wn[:, None])
-    SD1 = X[D].sum(axis=0)
-    xbar = (w @ X) / s0
-    out = T * M2 - np.outer(SD1, M1) - np.outer(T * M1 - s0d * SD1, xbar)
-    return out / s0
+    T = a.T[:, None]
+    xbar = a.S1 / a.S0[:, None]
+    out = (_col(a.T) * a.M2 - _outer(a.SD1, a.M1)
+           - _outer(T * a.M1 - a.s0d[:, None] * a.SD1, xbar))
+    return out / _col(a.S0)
 
 
-def interval_gb(X, D, eta):
-    """Raw classical model-based piece ``(T S0d / S0^2) sum_i w_i (X_i - me)^{x2}``
+def gb_terms(a):
+    """Raw classical model-based pieces ``(T S0d / S0^2) sum_i w_i (X_i - me)^{x2}``
     with ``me`` the event-free-weighted covariate mean."""
-    d = X.shape[1]
-    T, skip = _degenerate(D)
-    if skip:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    wn = w * ~D
-    s0d = float(wn.sum())
-    me = (wn @ X) / s0d
-    Xc = X - me
-    return (T * s0d / (s0 * s0)) * (Xc.T @ (Xc * w[:, None]))
+    me = a.M1 / a.s0d[:, None]
+    cross = _outer(a.S1, me)
+    spread = (a.S2 - cross - cross.transpose(0, 2, 1)
+              + _col(a.S0) * _outer(me, me))
+    return _col(a.T * a.s0d / (a.S0 * a.S0)) * spread
 
 
-def interval_sigma_hat(X, D, eta):
-    """Raw tie-aware piece ``n * sigma_hat_j``: the triple sum
+def sigma_hat_terms(a):
+    """Raw tie-aware pieces ``n * sigma_hat_j``: the triple sum
 
         sum_i { (1-D_i) w_i sum_l D_l w_l (X_i - X_l)^{x2}
                 + w_i [sum_l (1-D_l) w_l (X_i - X_l)] [sum_k D_k (X_i - X_k)]' } / S0^2
 
-    expanded into rank-structured aggregates.  Generally non-symmetric.
+    expanded into the aggregates.  Generally non-symmetric.
     """
-    d = X.shape[1]
-    T, skip = _degenerate(D)
-    if skip:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    S1 = w @ X
-    S2 = X.T @ (X * w[:, None])
-    wd = w * D
-    Tw = float(wd.sum())
-    SDw1 = wd @ X
-    SDw2 = X.T @ (X * wd[:, None])
-    wn = w * ~D
-    s0d = float(wn.sum())
-    M1 = wn @ X
-    M2 = X.T @ (X * wn[:, None])
-    SD1 = X[D].sum(axis=0)
-    term1 = Tw * M2 - np.outer(M1, SDw1) - np.outer(SDw1, M1) + s0d * SDw2
-    term2 = (s0d * T * S2 - s0d * np.outer(S1, SD1)
-             - T * np.outer(M1, S1) + s0 * np.outer(M1, SD1))
-    return (term1 + term2) / (s0 * s0)
+    s0d, T = _col(a.s0d), _col(a.T)
+    term1 = (_col(a.Tw) * a.M2 - _outer(a.M1, a.SDw1) - _outer(a.SDw1, a.M1)
+             + s0d * a.SDw2)
+    term2 = (s0d * T * a.S2 - s0d * _outer(a.S1, a.SD1)
+             - T * _outer(a.M1, a.S1) + _col(a.S0) * _outer(a.M1, a.SD1))
+    return (term1 + term2) / _col(a.S0 * a.S0)
 
 
-def interval_sigma_tilde(X, D, eta, symmetric=False):
-    """Raw sparse-table-style piece ``n * sigma_tilde_j``: the triple sum
+def sigma_tilde_terms(a):
+    """Raw sparse-table-style pieces ``n * sigma_tilde_j``: the triple sum
 
         sum_i (1-D_i) w_i [sum_l {(1-D_l) w_l + D_l w_i}(X_i - X_l)]
-                          [sum_k D_k (X_i - X_k)]' / S0^2.
+                          [sum_k D_k (X_i - X_k)]' / S0^2
+      = { T (S0d M2 - M1 M1') + sum_i (1-D_i) w_i^2 (T X_i - SD1)^{x2} } / S0^2,
 
-    ``symmetric=True`` evaluates the equivalent symmetric form
-    ``sum_i (1-D_i) w_i { (T/S0d)(S0d X_i - M1)^{x2} + w_i (T X_i - SD1)^{x2} } / S0^2``
-    instead; the two agree identically in exact arithmetic.
+    symmetric in exact arithmetic and so also in this expansion.
     """
-    d = X.shape[1]
-    T, skip = _degenerate(D)
-    if skip:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    wn = w * ~D
-    s0d = float(wn.sum())
-    M1 = wn @ X
-    SD1 = X[D].sum(axis=0)
-    a = s0d * X - M1
-    v = T * X - SD1
-    if symmetric:
-        out = ((a * wn[:, None]).T @ a) * (T / s0d) + (v * (wn * w)[:, None]).T @ v
-    else:
-        u = a + w[:, None] * v
-        out = (u * wn[:, None]).T @ v
-    return out / (s0 * s0)
-
-
-def interval_influence_odds(X, D, eta):
-    """Per-member influence rows ``g_j1(i) + g_j2(i)`` at raw scale.
-
-    ``g_j1`` corrects for estimating the baseline odds, ``g_j2`` for the
-    event-free share of the risk-set weight entering that baseline.
-    """
-    T, skip = _degenerate(D)
-    if skip:
-        return np.zeros(X.shape)
-    w, s0, _ = _weights(eta)
-    wn = w * ~D
-    s0d = float(wn.sum())
-    M1 = wn @ X
-    SD1 = X[D].sum(axis=0)
-    me = M1 / s0d
-    Df = D.astype(float)
-    resid = (Df * s0d - (1.0 - Df) * w * T) / s0
-    rows = resid[:, None] * (X - me)
-    q = (s0d * SD1 - T * M1) / s0
-    factor = w / s0 - (1.0 - Df) * w / s0d
-    rows -= factor[:, None] * q[None, :]
-    return rows
+    T = _col(a.T)
+    cross = _outer(a.Qf1, a.SD1)
+    free_sq = (T * T * a.Qf2 - T * (cross + cross.transpose(0, 2, 1))
+               + _col(a.Qf0) * _outer(a.SD1, a.SD1))
+    out = T * (_col(a.s0d) * a.M2 - _outer(a.M1, a.M1)) + free_sq
+    return out / _col(a.S0 * a.S0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +183,7 @@ OddsVarianceEstimate = VarianceEstimate
 
 def score_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    return _mean_over_intervals(data, beta, interval_score_odds)
+    return _mean_terms(data, beta, _with_mixed(score_odds_terms), order=1)
 
 
 def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
@@ -259,7 +192,15 @@ def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     This is the sample analog of the population derivative matrix, not
     necessarily the exact derivative of the sample score under ties.
     """
-    return _mean_over_intervals(data, beta, interval_jacobian_odds)
+    return _mean_terms(data, beta, _with_mixed(jacobian_odds_terms))
+
+
+def _raw_score(rs, beta):
+    return score_odds_terms(_mixed(rs.aggregates(beta, order=1))).sum(axis=0)
+
+
+def _raw_jacobian(rs, beta):
+    return jacobian_odds_terms(_mixed(rs.aggregates(beta))).sum(axis=0)
 
 
 def _fd_jacobian_raw(rs, beta):
@@ -272,35 +213,25 @@ def _fd_jacobian_raw(rs, beta):
         up[k] += h
         dn = beta.copy()
         dn[k] -= h
-        lo, = rs.sums(dn, interval_score_odds)
-        hi, = rs.sums(up, interval_score_odds)
-        out[:, k] = (lo - hi) / (2.0 * h)
+        out[:, k] = (_raw_score(rs, dn) - _raw_score(rs, up)) / (2.0 * h)
+    return out
+
+
+def _baselines(a, J):
+    out = np.full(J, -np.inf)
+    out[a.k - 1] = np.where(a.T < a.m, np.log(a.T) - a.log_s0d, np.inf)
     return out
 
 
 def baseline_log_odds(data: DiscreteSurvivalData, beta) -> np.ndarray:
     """Profiled baselines ``beta_0j = log T_j - log sum_i R[j,i](1-D[j,i]) e^{X_i' beta}``."""
-    beta = np.asarray(beta, dtype=float)
-    rs = RiskSets(data)
-    J = data.n_intervals
-    out = np.full(J, -np.inf)
-    for j in range(1, J + 1):
-        T = rs.n_events[j - 1]
-        if T == 0:
-            continue
-        if T == rs.n_at_risk[j - 1]:
-            out[j - 1] = np.inf
-            continue
-        _, _, D, eta = rs.interval(j, beta)
-        eta_free = eta[~D]
-        c = eta_free.max()
-        out[j - 1] = np.log(T) - (np.log(np.exp(eta_free - c).sum()) + c)
-    return out
+    a = RiskSets(data).aggregates(np.asarray(beta, dtype=float), order=0)
+    return _baselines(a, data.n_intervals)
 
 
 def _newton(rs, n, start, tol, max_iter):
     beta = np.asarray(start, dtype=float).copy()
-    score, = rs.sums(beta, interval_score_odds)
+    score = _raw_score(rs, beta)
     merit = float(np.linalg.norm(score))
     score_norm = float(np.max(np.abs(score))) / n
     converged = score_norm <= tol
@@ -309,7 +240,7 @@ def _newton(rs, n, start, tol, max_iter):
         if converged:
             it -= 1
             break
-        jac, = rs.sums(beta, interval_jacobian_odds)
+        jac = _raw_jacobian(rs, beta)
         try:
             step = _solve_spd(jac, score, "fit_beta")
         except SingularMatrixError:
@@ -341,7 +272,7 @@ def _backtrack(rs, beta, step, merit):
     t = 1.0
     while t >= 2.0 ** -40:
         cand = beta + t * step
-        cand_score, = rs.sums(cand, interval_score_odds)
+        cand_score = _raw_score(rs, cand)
         cand_merit = float(np.linalg.norm(cand_score))
         if cand_merit < merit:
             return cand, cand_score, cand_merit
@@ -425,8 +356,9 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
         warnings.append(
             f"{n_all_events} risk set(s) consist entirely of events; "
             "their baseline log-odds are +inf and they contribute nothing to the fit")
-    beta0 = baseline_log_odds(data, beta)
-    jac = rs.sums(beta, interval_jacobian_odds)[0] / n
+    a = rs.aggregates(beta)
+    beta0 = _baselines(a, data.n_intervals)
+    jac = jacobian_odds_terms(_mixed(a)).sum(axis=0) / n
     return OddsFit(beta=beta, beta0=beta0, jacobian=jac, score_norm=score_norm,
                    iterations=iterations, init=label, n=n, warnings=warnings)
 
@@ -435,10 +367,33 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
 # variance estimators
 # ---------------------------------------------------------------------------
 
+def _influence_rows_odds(rs, beta):
+    """Rows ``g_i``: over the mixed risk sets up to ``y_i``, subject i's
+    event-free terms ``-(w_i/S0)[T (X_i - me) - (Tw/S0d) tau]`` as one
+    cumulative sum, plus its event term ``(S0d/S0)(X_i - me) - (w_i/S0) tau``."""
+    a = rs.aggregates(beta, order=1)
+    mixed = a.T < a.m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        me = a.M1 / a.s0d[:, None]
+        tau = score_odds_terms(a)
+        free_B = a.T[:, None] * me + (a.Tw / a.s0d)[:, None] * tau
+    share = np.where(mixed, a.s0d / a.S0, 0.0)
+
+    def keep(v):
+        return np.where(mixed[:, None], v, 0.0)
+
+    log_w = np.where(mixed, -a.log_s0, -np.inf)
+    rows = rs.subject_sums(beta, keep(free_B), a=np.where(mixed, -a.T, 0.0),
+                           log_weight=log_w, span="before_event")
+    rows += rs.subject_sums(beta, keep(-share[:, None] * me), a=share,
+                            span="event")
+    rows += rs.subject_sums(beta, keep(-tau), log_weight=log_w, span="event")
+    return rows
+
+
 def influence_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsInfluence:
     """Per-subject influence sums ``g_i`` entering the robust sandwich."""
-    return OddsInfluence(
-        total=RiskSets(data).scatter(fit.beta, interval_influence_odds))
+    return OddsInfluence(total=_influence_rows_odds(RiskSets(data), fit.beta))
 
 
 def var_robust_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
@@ -450,20 +405,21 @@ def var_robust_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEst
 
 def var_model_based_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Classical model-based sandwich ``H^-1 G_b H^-1`` (valid without ties)."""
-    meat = _mean_over_intervals(data, fit.beta, interval_gb)
+    meat = _mean_terms(data, fit.beta, _with_mixed(gb_terms))
     return _sandwich(fit.jacobian, meat, data.n, "model_based")
 
 
 def var_model_based2_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Tie-aware model-based sandwich from conditionally unbiased pieces."""
-    meat = _mean_over_intervals(data, fit.beta,
-                                _symmetric_part(interval_sigma_hat))
+    meat = _mean_terms(data, fit.beta,
+                       _with_mixed(lambda a: _symmetric(sigma_hat_terms(a))))
     return _sandwich(fit.jacobian, meat, data.n, "model_based2")
 
 
 def var_model_based3_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Sparse-table-style model-based sandwich (three-way event products)."""
-    meat = _mean_over_intervals(data, fit.beta, interval_sigma_tilde)
+    meat = _mean_terms(data, fit.beta, _with_mixed(sigma_tilde_terms),
+                       squares=2)
     return _sandwich(fit.jacobian, meat, data.n, "model_based3")
 
 

@@ -252,29 +252,38 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
         whose meat sums the full parameter score over each subject's
         person-period rows (clustering by subject), so repeated rows
         from one subject are not treated as independent.
+
+    Notes
+    -----
+    The information is arrow shaped: intercepts ``a_k`` on the
+    diagonal, their beta couplings ``C_k`` and the beta block ``F``.
+    Its inverse's beta block is the inverse ``S^-1`` of the Schur
+    complement ``S = F - sum_k C_k C_k' / a_k``, and the beta block of
+    the sandwich is ``S^-1 (sum_i q_i q_i') S^-1`` with
+    ``q_i = sum_k resid_ik (X_i - C_k / a_k)`` over subject i's rows, so
+    neither the full inverse nor the per-subject score matrix is formed.
     """
     _, live, triples = _person_period(data)
     n, d, J = data.n, data.d, data.n_intervals
     pos = np.flatnonzero(live)
     K = pos.size
-    if fit.fisher.shape[0] == K + d:  # compact layout (full_fisher=False)
-        info = fit.fisher
+    info = fit.fisher
+    if info.shape[0] == K + d:  # compact layout (full_fisher=False)
+        a, C = np.diag(info)[:K], info[:K, K:]
     else:
-        keep = np.concatenate([pos, np.arange(J, J + d)])
-        info = fit.fisher[np.ix_(keep, keep)]
-
+        a, C = info[pos, pos], info[np.ix_(pos, np.arange(J, J + d))]
+    ratio = C / a[:, None]
+    schur = info[-d:, -d:] - ratio.T @ C
     try:
-        inv = np.linalg.solve(info, np.eye(K + d))
+        inv = np.linalg.solve(schur, np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("plogit_variances: singular information") from exc
-    model_based = inv[K:, K:]
+    if not np.all(np.isfinite(inv)):
+        raise SingularMatrixError("plogit_variances: singular information")
 
-    scores = np.zeros((n, K + d))
+    q = np.zeros((n, d))
     for k, (idx, X, D) in enumerate(triples):
         resid = D - _expit(fit.beta0[pos[k]] + X @ fit.beta)
-        scores[idx, k] = resid
-        scores[idx, K:] += resid[:, None] * X
-    meat = scores.T @ scores
-    full = inv @ meat @ inv
-    robust = full[K:, K:]
-    return 0.5 * (model_based + model_based.T), 0.5 * (robust + robust.T)
+        q[idx] += resid[:, None] * (X - ratio[k])
+    robust = inv @ (q.T @ q) @ inv
+    return 0.5 * (inv + inv.T), 0.5 * (robust + robust.T)

@@ -49,92 +49,65 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# per-interval kernels (raw sums; module-level wrappers divide by n)
+# per-interval terms over the risk-set aggregates (raw sums; the
+# module-level wrappers divide by n)
 # ---------------------------------------------------------------------------
 
-def _weights(eta):
-    """Shifted exponential weights and the log of their true-scale sum."""
-    c = float(np.max(eta)) if eta.size else 0.0
-    w = np.exp(eta - c)
-    s0 = float(w.sum())
-    return w, s0, c
+def _outer(u, v):
+    """Per-interval outer products of two ``(K, d)`` arrays."""
+    return u[:, :, None] * v[:, None, :]
 
 
-def interval_score(X, D, eta):
-    """Raw score contribution ``sum_i D_i (X_i - xbar)`` of one risk set."""
-    T = int(D.sum())
-    if T == 0:
-        return np.zeros(X.shape[1])
-    w, s0, _ = _weights(eta)
-    xbar = (w @ X) / s0
-    return X[D].sum(axis=0) - T * xbar
+def _col(v):
+    """A ``(K,)`` array shaped to scale ``(K, d, d)`` terms."""
+    return v[:, None, None]
 
 
-def interval_hessian(X, D, eta):
-    """Raw Hessian contribution ``T * sum_i (w_i/S0)(X_i - xbar)^{x2}``."""
-    d = X.shape[1]
-    T = int(D.sum())
-    if T == 0:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    xbar = (w @ X) / s0
-    Xc = X - xbar
-    return T * (Xc.T @ (Xc * (w / s0)[:, None]))
+def _xbar(a):
+    return a.S1 / a.S0[:, None]
 
 
-def interval_ab(X, D, eta):
-    """Raw contribution ``sum_i p_i (1 - p_i) (X_i - xbar)^{x2}`` with ``p_i = T w_i / S0``."""
-    d = X.shape[1]
-    T = int(D.sum())
-    if T == 0:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    xbar = (w @ X) / s0
-    p = T * w / s0
-    Xc = X - xbar
-    return Xc.T @ (Xc * (p * (1.0 - p))[:, None])
+def score_terms(a):
+    """Raw score terms ``sum_i D_i (X_i - xbar) = SD1 - T xbar``."""
+    return a.SD1 - a.T[:, None] * _xbar(a)
 
 
-def interval_vhat(X, D, eta):
-    """Raw tie-aware piece ``n * vhat_j``: the triple sum
+def hessian_terms(a):
+    """Raw Hessian terms ``T sum_i (w_i/S0)(X_i - xbar)^{x2} = T (S2/S0 - xbar xbar')``."""
+    xbar = _xbar(a)
+    return _col(a.T) * (a.S2 / _col(a.S0) - _outer(xbar, xbar))
+
+
+def ab_terms(a):
+    """Raw terms ``sum_i p_i (1 - p_i) (X_i - xbar)^{x2}`` with ``p_i = T w_i / S0``."""
+    xbar = _xbar(a)
+    cross = _outer(a.Q1, xbar)
+    squares = (a.Q2 - cross - cross.transpose(0, 2, 1)
+               + _col(a.Q0) * _outer(xbar, xbar))
+    return hessian_terms(a) - _col(a.T / a.S0) ** 2 * squares
+
+
+def vhat_terms(a):
+    """Raw tie-aware pieces ``n * vhat_j``: the triple sum
 
         sum_i (1-D_i) w_i [sum_l w_l (X_i - X_l)] [sum_k D_k (X_i - X_k)]' / S0^2
 
-    expanded into rank-structured aggregates (O(m d^2), not O(m^3)).
+    expanded into the aggregates (O(d^2) per interval, not O(m^3)).
     """
-    d = X.shape[1]
-    T = int(D.sum())
-    if T == 0:
-        return np.zeros((d, d))
-    w, s0, _ = _weights(eta)
-    S1 = w @ X
-    SD1 = X[D].sum(axis=0)
-    nd = ~D
-    wn = w * nd
-    s0d = float(wn.sum())
-    M1 = wn @ X
-    M2 = X.T @ (X * wn[:, None])
-    out = (s0 * T * M2 - s0 * np.outer(M1, SD1)
-           - T * np.outer(S1, M1) + s0d * np.outer(S1, SD1))
+    s0, T = _col(a.S0), _col(a.T)
+    out = (s0 * T * a.M2 - s0 * _outer(a.M1, a.SD1)
+           - T * _outer(a.S1, a.M1) + _col(a.s0d) * _outer(a.S1, a.SD1))
     return out / (s0 * s0)
 
 
-def interval_influence(X, D, eta):
-    """Per-member influence rows ``(D_i - T w_i / S0)(X_i - xbar)``."""
-    w, s0, _ = _weights(eta)
-    T = int(D.sum())
-    xbar = (w @ X) / s0
-    resid = D.astype(float) - T * w / s0
-    return resid[:, None] * (X - xbar)
+def _symmetric(terms):
+    return 0.5 * (terms + terms.transpose(0, 2, 1))
 
 
-def _objective_term(X, D, eta):
-    """Raw log-partial-likelihood contribution of one risk set."""
-    T = int(D.sum())
-    if T == 0:
-        return 0.0
-    w, s0, c = _weights(eta)
-    return float(eta[D].sum()) - T * (np.log(s0) + c)
+def _objective(rs, gamma):
+    """Log partial likelihood ``sum_j [sum_{D_j} eta - T_j log S0_j]``."""
+    a = rs.aggregates(gamma, order=0)
+    return float(np.sum(a.SD1 @ gamma - a.T * (np.log(a.S0) + a.shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +179,20 @@ class VarianceEstimate:
 # score / hessian / fitting
 # ---------------------------------------------------------------------------
 
-def _mean_over_intervals(data, coef, kernel):
-    """``1/n`` times the total of ``kernel`` over the event intervals."""
-    coef = np.asarray(coef, dtype=float)
-    return RiskSets(data).sums(coef, kernel)[0] / data.n
+def _mean_terms(data, coef, terms, **sums):
+    """``1/n`` times the total of ``terms`` over the event intervals."""
+    a = RiskSets(data).aggregates(np.asarray(coef, dtype=float), **sums)
+    return terms(a).sum(axis=0) / data.n
 
 
 def score_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    return _mean_over_intervals(data, gamma, interval_score)
+    return _mean_terms(data, gamma, score_terms, order=1)
 
 
 def hessian_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """``B_hat(gamma)``: 1/n times the negative Hessian of the sample objective."""
-    return _mean_over_intervals(data, gamma, interval_hessian)
-
-
-def _objective(data, rs, gamma):
-    if data.is_static:
-        # one cumulative log-sum-exp pass over the risk-set ordering
-        # instead of a per-interval sweep (same recipe as
-        # baseline_log_hazards)
-        eta = data.covariates_at(1) @ gamma
-        cum = np.logaddexp.accumulate(eta[rs.order])
-        ev = rs.event_intervals
-        T = rs.n_events[ev - 1]
-        logS0 = cum[rs.n_at_risk[ev - 1] - 1]
-        return float(eta[data.delta].sum() - T @ logS0)
-    return rs.sums(gamma, _objective_term)[0]
+    return _mean_terms(data, gamma, hessian_terms)
 
 
 def _solve_spd(mat, vec_or_mat, context):
@@ -249,24 +208,13 @@ def _solve_spd(mat, vec_or_mat, context):
 
 def baseline_log_hazards(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """Profiled baselines ``gamma_0j = log T_j - log sum_i R[j,i] e^{X_i' gamma}``."""
-    gamma = np.asarray(gamma, dtype=float)
-    rs = RiskSets(data)
-    J = data.n_intervals
+    a = RiskSets(data).aggregates(np.asarray(gamma, dtype=float), order=0)
+    return _baselines(a, data.n_intervals)
+
+
+def _baselines(a, J):
     out = np.full(J, -np.inf)
-    if data.is_static:
-        eta_ord = data.covariates_at(1)[rs.order] @ gamma
-        cum = np.logaddexp.accumulate(eta_ord)
-        for j in range(1, J + 1):
-            T = rs.n_events[j - 1]
-            if T > 0:
-                out[j - 1] = np.log(T) - cum[rs.n_at_risk[j - 1] - 1]
-    else:
-        for j in range(1, J + 1):
-            T = rs.n_events[j - 1]
-            if T > 0:
-                _, _, _, eta = rs.interval(j, gamma)
-                c = eta.max()
-                out[j - 1] = np.log(T) - (np.log(np.exp(eta - c).sum()) + c)
+    out[a.k - 1] = np.log(a.T) - a.log_s0
     return out
 
 
@@ -299,9 +247,11 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
     score_norm = np.inf
     converged = False
     it = 0
-    obj = _objective(data, rs, gamma)
+    obj = _objective(rs, gamma)
     for it in range(1, max_iter + 1):
-        score, hess = rs.sums(gamma, interval_score, interval_hessian)
+        a = rs.aggregates(gamma)
+        score = score_terms(a).sum(axis=0)
+        hess = hessian_terms(a).sum(axis=0)
         score_norm = float(np.max(np.abs(score))) / n
         if score_norm <= tol:
             converged = True
@@ -311,7 +261,7 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
         t = 1.0
         while t >= 2.0 ** -40:
             cand = gamma + t * step
-            cand_obj = _objective(data, rs, cand)
+            cand_obj = _objective(rs, cand)
             if cand_obj > obj:
                 gamma, obj = cand, cand_obj
                 break
@@ -322,10 +272,10 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
             # slightly above tol; fall back to a plain Newton step as long
             # as it shrinks the score
             cand = gamma + step
-            cand_score, = rs.sums(cand, interval_score)
+            cand_score = score_terms(rs.aggregates(cand, order=1)).sum(axis=0)
             if float(np.max(np.abs(cand_score))) / n < score_norm:
                 gamma = cand
-                obj = _objective(data, rs, cand)
+                obj = _objective(rs, cand)
             else:
                 raise ConvergenceError("fit_gamma: line search stalled",
                                        iterations=it, score_norm=score_norm)
@@ -334,21 +284,22 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
                 "fit_gamma: divergence (monotone likelihood suspected)",
                 iterations=it, score_norm=score_norm)
     if not converged:
-        score, = rs.sums(gamma, interval_score)
+        score = score_terms(rs.aggregates(gamma, order=1)).sum(axis=0)
         score_norm = float(np.max(np.abs(score))) / n
         if score_norm > tol:
             raise ConvergenceError(
                 f"fit_gamma: no convergence in {max_iter} iterations",
                 iterations=max_iter, score_norm=score_norm)
 
-    hess = rs.sums(gamma, interval_hessian)[0] / n
-    gamma0 = baseline_log_hazards(data, gamma)
+    a = rs.aggregates(gamma)
+    hess = hessian_terms(a).sum(axis=0) / n
+    gamma0 = _baselines(a, data.n_intervals)
     warnings = []
     if np.max(np.abs(gamma)) > 10.0:
         warnings.append(
             "extreme coefficient (|gamma| > 10): the score vanishes in the "
             "tail, so the equation may have no finite root (separation)")
-    n_over = _count_hazards_over_one(data, rs, gamma, gamma0)
+    n_over = rs.count_positive(gamma, gamma0[a.k - 1])
     if n_over:
         warnings.append(
             f"fitted hazard probability exceeds 1 for {n_over} subject-interval(s)")
@@ -357,22 +308,24 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
                    warnings=warnings)
 
 
-def _count_hazards_over_one(data, rs, gamma, gamma0):
-    count = 0
-    for j in rs.event_intervals:
-        _, _, _, eta = rs.interval(j, gamma)
-        count += int(np.sum(gamma0[j - 1] + eta > 0))
-    return count
-
-
 # ---------------------------------------------------------------------------
 # variance estimators
 # ---------------------------------------------------------------------------
 
+def _influence_rows(rs, gamma):
+    """Rows ``h_i = sum_{j <= y_i} (D_ij - T_j w_ij / S0_j)(X_ij - xbar_j)``:
+    the event term at ``y_i`` plus one cumulative sum over intervals."""
+    a = rs.aggregates(gamma, order=1)
+    xbar = _xbar(a)
+    ones = np.ones(a.T.size)
+    rows = rs.subject_sums(gamma, xbar, a=-ones,
+                           log_weight=np.log(a.T) - a.log_s0)
+    return rows + rs.subject_sums(gamma, -xbar, a=ones, span="event")
+
+
 def influence_prob(data: DiscreteSurvivalData, fit: ProbFit) -> ProbInfluence:
     """Per-subject influence sums ``h_i`` entering the robust sandwich."""
-    return ProbInfluence(
-        total=RiskSets(data).scatter(fit.gamma, interval_influence))
+    return ProbInfluence(total=_influence_rows(RiskSets(data), fit.gamma))
 
 
 def _sandwich(bread, meat, n, kind, transpose_right=False):
@@ -381,16 +334,6 @@ def _sandwich(bread, meat, n, kind, transpose_right=False):
     inv = _solve_spd(bread, np.eye(bread.shape[0]), f"var_{kind}")
     mat = inv @ meat @ (inv.T if transpose_right else inv)
     return VarianceEstimate(kind=kind, matrix=0.5 * (mat + mat.T), n=n)
-
-
-def _symmetric_part(kernel):
-    """Kernel returning the symmetric part of ``kernel``'s matrix."""
-
-    def symmetric(X, D, eta):
-        v = kernel(X, D, eta)
-        return 0.5 * (v + v.T)
-
-    return symmetric
 
 
 def var_robust(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
@@ -402,13 +345,13 @@ def var_robust(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
 
 def var_model_based(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
     """Model-based sandwich with ``p(1-p)``-weighted meat (valid without ties)."""
-    meat = _mean_over_intervals(data, fit.gamma, interval_ab)
+    meat = _mean_terms(data, fit.gamma, ab_terms, squares=2)
     return _sandwich(fit.hessian, meat, data.n, "model_based")
 
 
 def var_model_based2(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
     """Tie-aware model-based sandwich from conditionally unbiased pieces."""
-    meat = _mean_over_intervals(data, fit.gamma, _symmetric_part(interval_vhat))
+    meat = _mean_terms(data, fit.gamma, lambda a: _symmetric(vhat_terms(a)))
     return _sandwich(fit.hessian, meat, data.n, "model_based2")
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import odds as _odds
 from . import prob as _prob
+from ._risksets import risk_set_aggregates
 from .data import CensorOption, DiscreteSurvivalData, TimeGrid, discretize
 from .errors import ConvergenceError, InputError, SingularMatrixError
 from .plogit import _expit, fit_plogit, plogit_variances
@@ -347,16 +348,23 @@ def enumerate_conditional(X, intercept: float, coef, model: str = "prob",
         p = np.exp(intercept + eta)
         if np.any(p > 1.0):
             raise InputError("probability model: hazard above 1 on this design")
-        kernels = [lambda D: _prob.interval_score(X, D, eta),
-                   lambda D: _prob.interval_vhat(X, D, eta)]
+        terms = [_prob.score_terms, _prob.vhat_terms]
+        squares = None
     elif model == "odds":
         p = _expit(intercept + eta)
-        kernels = [lambda D: _odds.interval_score_odds(X, D, eta),
-                   lambda D: _odds.interval_sigma_hat(X, D, eta),
-                   lambda D: _odds.interval_sigma_tilde(X, D, eta,
-                                                        symmetric=True)]
+        terms = [_odds.score_odds_terms, _odds.sigma_hat_terms,
+                 _odds.sigma_tilde_terms]
+        squares = 2
     else:
         raise InputError("model must be 'prob' or 'odds'")
+
+    def kernels(D):
+        a = risk_set_aggregates(X, D, eta, squares=squares)
+        values = [t(a)[0] for t in terms]
+        if model == "odds" and not 0 < a.T[0] < m:
+            # risk sets with no events or only events contribute zero
+            values = [np.zeros_like(v) for v in values]
+        return values
 
     if given_Tj is None:
         configs = (np.array(bits, dtype=bool)
@@ -379,7 +387,7 @@ def enumerate_conditional(X, intercept: float, coef, model: str = "prob",
         def weight(D):
             return float(np.exp(np.sum(eta[D])))
 
-    first = [None] * len(kernels)
+    first = [None] * len(terms)
     score_sq = None
     total = 0.0
     for D in configs:
@@ -388,7 +396,7 @@ def enumerate_conditional(X, intercept: float, coef, model: str = "prob",
         if w == 0.0:
             continue
         total += w
-        values = [k(D) for k in kernels]
+        values = kernels(D)
         for i, v in enumerate(values):
             first[i] = w * v if first[i] is None else first[i] + w * v
         s = values[0]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .data import DiscreteSurvivalData, Static, SubjectRecord, TimeGrid
 from .errors import ConvergenceError, InputError
@@ -111,6 +110,10 @@ class WmhTwoSample:
 def _find_root(score, label):
     """Root of a strictly decreasing scalar score, with geometric
     expansion of the bracket from [-10, 10]."""
+    # imported here: scipy.optimize would add most of the package's
+    # import time for this one call
+    from scipy.optimize import brentq
+
     lo, hi = -10.0, 10.0
     while score(lo) <= 0.0 or score(hi) >= 0.0:
         if score(lo) == 0.0:

@@ -234,6 +234,402 @@ def odds_influence(X, D, eta):
 
 
 # ---------------------------------------------------------------------------
+# the per-interval form: one risk set at a time
+# ---------------------------------------------------------------------------
+#
+# The kernels below evaluate one risk set's contribution from its rows
+# X, event flags D and linear predictor eta, in the aggregate forms the
+# estimating equations expand into; LoopRiskSets sums them over the
+# literal risk sets.  Together they are the reference the library's
+# prefix-sum engine must reproduce.
+
+def _weights(eta):
+    """Shifted exponential weights and the log of their true-scale sum."""
+    c = float(np.max(eta)) if eta.size else 0.0
+    w = np.exp(eta - c)
+    s0 = float(w.sum())
+    return w, s0, c
+
+
+def interval_score(X, D, eta):
+    """Raw score contribution ``sum_i D_i (X_i - xbar)`` of one risk set."""
+    T = int(D.sum())
+    if T == 0:
+        return np.zeros(X.shape[1])
+    w, s0, _ = _weights(eta)
+    xbar = (w @ X) / s0
+    return X[D].sum(axis=0) - T * xbar
+
+
+def interval_hessian(X, D, eta):
+    """Raw Hessian contribution ``T * sum_i (w_i/S0)(X_i - xbar)^{x2}``."""
+    d = X.shape[1]
+    T = int(D.sum())
+    if T == 0:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    xbar = (w @ X) / s0
+    Xc = X - xbar
+    return T * (Xc.T @ (Xc * (w / s0)[:, None]))
+
+
+def interval_ab(X, D, eta):
+    """Raw contribution ``sum_i p_i (1 - p_i) (X_i - xbar)^{x2}`` with ``p_i = T w_i / S0``."""
+    d = X.shape[1]
+    T = int(D.sum())
+    if T == 0:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    xbar = (w @ X) / s0
+    p = T * w / s0
+    Xc = X - xbar
+    return Xc.T @ (Xc * (p * (1.0 - p))[:, None])
+
+
+def interval_vhat(X, D, eta):
+    """Raw tie-aware piece ``n * vhat_j``: the triple sum
+
+        sum_i (1-D_i) w_i [sum_l w_l (X_i - X_l)] [sum_k D_k (X_i - X_k)]' / S0^2
+
+    expanded into rank-structured aggregates (O(m d^2), not O(m^3)).
+    """
+    d = X.shape[1]
+    T = int(D.sum())
+    if T == 0:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    S1 = w @ X
+    SD1 = X[D].sum(axis=0)
+    nd = ~D
+    wn = w * nd
+    s0d = float(wn.sum())
+    M1 = wn @ X
+    M2 = X.T @ (X * wn[:, None])
+    out = (s0 * T * M2 - s0 * np.outer(M1, SD1)
+           - T * np.outer(S1, M1) + s0d * np.outer(S1, SD1))
+    return out / (s0 * s0)
+
+
+def interval_influence(X, D, eta):
+    """Per-member influence rows ``(D_i - T w_i / S0)(X_i - xbar)``."""
+    w, s0, _ = _weights(eta)
+    T = int(D.sum())
+    xbar = (w @ X) / s0
+    resid = D.astype(float) - T * w / s0
+    return resid[:, None] * (X - xbar)
+
+
+def objective_term(X, D, eta):
+    """Raw log-partial-likelihood contribution of one risk set."""
+    T = int(D.sum())
+    if T == 0:
+        return 0.0
+    w, s0, c = _weights(eta)
+    return float(eta[D].sum()) - T * (np.log(s0) + c)
+
+
+def _degenerate(D):
+    """Risk sets with no events or with only events contribute zero."""
+    T = int(D.sum())
+    return T, (T == 0 or T == D.size)
+
+
+def interval_score_odds(X, D, eta):
+    """Raw score term ``(S0d * sum_i D_i X_i - T * sum_i (1-D_i) w_i X_i) / S0``."""
+    T, skip = _degenerate(D)
+    if skip:
+        return np.zeros(X.shape[1])
+    w, s0, _ = _weights(eta)
+    wn = w * ~D
+    s0d = float(wn.sum())
+    M1 = wn @ X
+    SD1 = X[D].sum(axis=0)
+    return (s0d * SD1 - T * M1) / s0
+
+
+def interval_jacobian_odds(X, D, eta):
+    """Raw Jacobian term ``sum_i (1-D_i) w_i (T X_i - SD1)(X_i - xbar)' / S0``.
+
+    This is the sample analog of the population derivative of the score
+    in ``-beta'``; it is generally non-symmetric under ties.
+    """
+    d = X.shape[1]
+    T, skip = _degenerate(D)
+    if skip:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    wn = w * ~D
+    s0d = float(wn.sum())
+    M1 = wn @ X
+    M2 = X.T @ (X * wn[:, None])
+    SD1 = X[D].sum(axis=0)
+    xbar = (w @ X) / s0
+    out = T * M2 - np.outer(SD1, M1) - np.outer(T * M1 - s0d * SD1, xbar)
+    return out / s0
+
+
+def interval_gb(X, D, eta):
+    """Raw classical model-based piece ``(T S0d / S0^2) sum_i w_i (X_i - me)^{x2}``
+    with ``me`` the event-free-weighted covariate mean."""
+    d = X.shape[1]
+    T, skip = _degenerate(D)
+    if skip:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    wn = w * ~D
+    s0d = float(wn.sum())
+    me = (wn @ X) / s0d
+    Xc = X - me
+    return (T * s0d / (s0 * s0)) * (Xc.T @ (Xc * w[:, None]))
+
+
+def interval_sigma_hat(X, D, eta):
+    """Raw tie-aware piece ``n * sigma_hat_j``: the triple sum
+
+        sum_i { (1-D_i) w_i sum_l D_l w_l (X_i - X_l)^{x2}
+                + w_i [sum_l (1-D_l) w_l (X_i - X_l)] [sum_k D_k (X_i - X_k)]' } / S0^2
+
+    expanded into rank-structured aggregates.  Generally non-symmetric.
+    """
+    d = X.shape[1]
+    T, skip = _degenerate(D)
+    if skip:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    S1 = w @ X
+    S2 = X.T @ (X * w[:, None])
+    wd = w * D
+    Tw = float(wd.sum())
+    SDw1 = wd @ X
+    SDw2 = X.T @ (X * wd[:, None])
+    wn = w * ~D
+    s0d = float(wn.sum())
+    M1 = wn @ X
+    M2 = X.T @ (X * wn[:, None])
+    SD1 = X[D].sum(axis=0)
+    term1 = Tw * M2 - np.outer(M1, SDw1) - np.outer(SDw1, M1) + s0d * SDw2
+    term2 = (s0d * T * S2 - s0d * np.outer(S1, SD1)
+             - T * np.outer(M1, S1) + s0 * np.outer(M1, SD1))
+    return (term1 + term2) / (s0 * s0)
+
+
+def interval_sigma_tilde(X, D, eta, symmetric=False):
+    """Raw sparse-table-style piece ``n * sigma_tilde_j``: the triple sum
+
+        sum_i (1-D_i) w_i [sum_l {(1-D_l) w_l + D_l w_i}(X_i - X_l)]
+                          [sum_k D_k (X_i - X_k)]' / S0^2.
+
+    ``symmetric=True`` evaluates the equivalent symmetric form
+    ``sum_i (1-D_i) w_i { (T/S0d)(S0d X_i - M1)^{x2} + w_i (T X_i - SD1)^{x2} } / S0^2``
+    instead; the two agree identically in exact arithmetic.
+    """
+    d = X.shape[1]
+    T, skip = _degenerate(D)
+    if skip:
+        return np.zeros((d, d))
+    w, s0, _ = _weights(eta)
+    wn = w * ~D
+    s0d = float(wn.sum())
+    M1 = wn @ X
+    SD1 = X[D].sum(axis=0)
+    a = s0d * X - M1
+    v = T * X - SD1
+    if symmetric:
+        out = ((a * wn[:, None]).T @ a) * (T / s0d) + (v * (wn * w)[:, None]).T @ v
+    else:
+        u = a + w[:, None] * v
+        out = (u * wn[:, None]).T @ v
+    return out / (s0 * s0)
+
+
+def interval_influence_odds(X, D, eta):
+    """Per-member influence rows ``g_j1(i) + g_j2(i)`` at raw scale.
+
+    ``g_j1`` corrects for estimating the baseline odds, ``g_j2`` for the
+    event-free share of the risk-set weight entering that baseline.
+    """
+    T, skip = _degenerate(D)
+    if skip:
+        return np.zeros(X.shape)
+    w, s0, _ = _weights(eta)
+    wn = w * ~D
+    s0d = float(wn.sum())
+    M1 = wn @ X
+    SD1 = X[D].sum(axis=0)
+    me = M1 / s0d
+    Df = D.astype(float)
+    resid = (Df * s0d - (1.0 - Df) * w * T) / s0
+    rows = resid[:, None] * (X - me)
+    q = (s0d * SD1 - T * M1) / s0
+    factor = w / s0 - (1.0 - Df) * w / s0d
+    rows -= factor[:, None] * q[None, :]
+    return rows
+
+
+class LoopRiskSets:
+    """The literal per-interval loop over a dataset's risk sets.
+
+    Subjects are sorted stably by decreasing ``y``; the risk set of
+    interval ``j`` is the first ``n_j`` of them.  Works on any object
+    with ``n``, ``d``, ``y``, ``delta``, ``n_intervals`` and
+    ``covariates_at(j)``.
+    """
+
+    def __init__(self, data):
+        self.n, self.d = data.n, data.d
+        self.data = data
+        y = np.asarray(data.y)
+        J = data.n_intervals
+        self.order = np.argsort(-y, kind="stable")
+        self.n_at_risk = np.array([int(np.sum(y >= j)) for j in range(1, J + 1)])
+        self.n_events = np.array([int(np.sum((y == j) & data.delta))
+                                  for j in range(1, J + 1)])
+        self.event_intervals = np.flatnonzero(self.n_events > 0) + 1
+
+    def members(self, j):
+        return self.order[: self.n_at_risk[j - 1]]
+
+    def interval(self, j, coef):
+        idx = self.members(j)
+        X = self.data.covariates_at(j)[idx]
+        D = (self.data.y[idx] == j) & self.data.delta[idx]
+        return idx, X, D, X @ coef
+
+    def sums(self, coef, *kernels):
+        """Totals of each ``kernel(X, D, eta)`` over the event intervals."""
+        empty = (self.data.covariates_at(1)[:0], np.zeros(0, dtype=bool),
+                 np.zeros(0))
+        totals = [kernel(*empty) for kernel in kernels]
+        for j in self.event_intervals:
+            _, X, D, eta = self.interval(j, coef)
+            for k, kernel in enumerate(kernels):
+                totals[k] = totals[k] + kernel(X, D, eta)
+        return totals
+
+    def scatter(self, coef, kernel):
+        """Per-subject totals ``(n, d)`` of the member rows ``kernel``
+        returns for each event interval."""
+        out = np.zeros((self.n, self.d))
+        for j in self.event_intervals:
+            idx, X, D, eta = self.interval(j, coef)
+            out[idx] += kernel(X, D, eta)
+        return out
+
+
+def baseline_log_hazards_loop(rs, gamma):
+    out = np.full(rs.data.n_intervals, -np.inf)
+    for j in rs.event_intervals:
+        _, _, _, eta = rs.interval(j, gamma)
+        c = eta.max()
+        out[j - 1] = np.log(rs.n_events[j - 1]) - (np.log(np.exp(eta - c).sum()) + c)
+    return out
+
+
+def baseline_log_odds_loop(rs, beta):
+    out = np.full(rs.data.n_intervals, -np.inf)
+    for j in rs.event_intervals:
+        if rs.n_events[j - 1] == rs.n_at_risk[j - 1]:
+            out[j - 1] = np.inf
+            continue
+        _, _, D, eta = rs.interval(j, beta)
+        free = eta[~D]
+        c = free.max()
+        out[j - 1] = np.log(rs.n_events[j - 1]) - (np.log(np.exp(free - c).sum()) + c)
+    return out
+
+
+def hazards_over_one_loop(rs, gamma, gamma0):
+    count = 0
+    for j in rs.event_intervals:
+        _, _, _, eta = rs.interval(j, gamma)
+        count += int(np.sum(gamma0[j - 1] + eta > 0))
+    return count
+
+
+def prob_curve_loop(data, gamma, gamma0, hessian, cov, h, x0):
+    """The per-interval accumulators of the probability-model curve:
+    ``(U, U_alt, influence, var_robust, var_model_based, size)``; ``h``
+    the influence rows, ``cov`` the coefficient covariance, ``size`` the
+    ``(n, J)`` sums of the absolute increments of ``phi``."""
+    rs = LoopRiskSets(data)
+    n, J, d = data.n, data.n_intervals, data.d
+    p0 = np.exp(gamma0 + float(x0 @ gamma))
+    W = np.linalg.solve(hessian, h.T)
+    phi1 = np.zeros(n)
+    size = np.zeros(n)
+    U = np.zeros(d)
+    Ualt = np.zeros(d)
+    mb1 = 0.0
+    out = [np.zeros((J, d)), np.zeros((J, d)), np.zeros((n, J)), np.zeros(J),
+           np.zeros(J), np.zeros((n, J))]
+    for j in range(1, J + 1):
+        T = int(rs.n_events[j - 1])
+        if T > 0:
+            idx, X, D, eta = rs.interval(j, gamma)
+            X = X - x0
+            eta = X @ gamma
+            w, s0, _ = _weights(eta)
+            xbar = (w @ X) / s0
+            Ualt = Ualt + p0[j - 1] * xbar
+            p0j = p0[j - 1]
+            if 1.0 - p0j > 0.0:
+                phat = p0j * np.exp(eta)
+                rho = n * p0j / ((1.0 - p0j) * T)
+                phi1[idx] += -rho * (D - phat)
+                size[idx] += rho * (D + phat)
+                U = U + (p0j / (1.0 - p0j)) * xbar
+                mb1 += (p0j ** 2 / ((1.0 - p0j) ** 2 * T ** 2)) * float(
+                    np.sum(phat * (1.0 - phat)))
+        vec = phi1 + W.T @ U
+        out[0][j - 1], out[1][j - 1], out[2][:, j - 1] = U, Ualt, vec
+        out[3][j - 1] = float(vec @ vec) / n ** 2
+        out[4][j - 1] = mb1 + float(U @ cov @ U)
+        out[5][:, j - 1] = size
+    return tuple(out)
+
+
+def odds_curve_loop(data, beta, beta0, jacobian, cov, g, x0):
+    """The per-interval accumulators of the odds-model curve:
+    ``(Gamma, influence, var_robust, var_model_based, size)``."""
+    rs = LoopRiskSets(data)
+    n, J, d = data.n, data.n_intervals, data.d
+    with np.errstate(over="ignore"):
+        q = 1.0 / (1.0 + np.exp(-(beta0 + float(x0 @ beta))))
+    W = np.linalg.solve(jacobian, g.T)
+    psi1 = np.zeros(n)
+    size = np.zeros(n)
+    G = np.zeros(d)
+    mb1 = 0.0
+    out = [np.zeros((J, d)), np.zeros((n, J)), np.zeros(J), np.zeros(J),
+           np.zeros((n, J))]
+    for j in range(1, J + 1):
+        T = int(rs.n_events[j - 1])
+        if 0 < T < rs.n_at_risk[j - 1]:
+            qj = q[j - 1]
+            idx, X, D, eta = rs.interval(j, beta)
+            X = X - x0
+            eta = X @ beta
+            step = -(n * qj / ((1.0 - qj) * T)) * (
+                D * (1.0 - qj) - (~D) * np.exp(eta) * qj)
+            psi1[idx] += step
+            size[idx] += np.abs(step)
+            w, _, c = _weights(eta)
+            wn = w * ~D
+            s0d = float(wn.sum())
+            G = G + qj * (wn @ X) / s0d
+            log_s0 = np.log(float(w.sum())) + c
+            log_s0d = np.log(s0d) + c
+            log_den = np.logaddexp(np.log(T), log_s0d)
+            mb1 += float(np.exp(np.log(T) + log_s0 - log_s0d - 2.0 * log_den))
+        vec = psi1 + W.T @ G
+        out[0][j - 1], out[1][:, j - 1] = G, vec
+        out[2][j - 1] = float(vec @ vec) / n ** 2
+        out[3][j - 1] = mb1 + float(G @ cov @ G)
+        out[4][:, j - 1] = size
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # whole-sample sums (static covariates only)
 # ---------------------------------------------------------------------------
 

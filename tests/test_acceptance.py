@@ -23,7 +23,7 @@ from dsurv import (CensorOption, DiscreteSurvivalData, SimScenario, Static,
                    var_model_based3_odds, var_oldstyle, var_robust,
                    var_robust_odds, wmh_two_sample)
 from dsurv.io import SubjectTable, build_data, read_subject_csv
-from dsurv.odds import interval_sigma_tilde
+from _oracles import interval_sigma_tilde
 
 _VETERAN = pathlib.Path(__file__).resolve().parents[1] / "data" / "veteran.csv"
 

@@ -201,7 +201,10 @@ def test_exit_codes(tmp_path, capsys):
     ["fit", "--model", "prob", "--grid", "1,abc"],
     ["discretize", "--grid", "1,abc"],
     ["fit", "--model", "prob", "--x0", "1,x", "--curve", "curve.csv"],
-], ids=["fit-width-nan", "fit-grid", "discretize-grid", "fit-x0"])
+    ["fit", "--model", "prob", "--x0", "1,x"],
+    ["fit", "--model", "odds", "--x0", "1,2,3"],
+], ids=["fit-width-nan", "fit-grid", "discretize-grid", "fit-x0",
+        "fit-x0-without-curve", "fit-x0-wrong-length"])
 def test_malformed_numeric_options_fail_with_input_error(tmp_path, capsys,
                                                          options):
     command, *rest = options
@@ -245,3 +248,49 @@ def test_simulate_seed_precedence(tmp_path, monkeypatch, capsys):
     header = out1.read_text().splitlines()[0].split(",")
     assert header == ["coef", "BP_mean", "BP_sd", "BP_se_mb2", "BP_se_robust",
                       "BP_failed"]
+
+
+@pytest.mark.parametrize("model", ["prob", "odds"])
+def test_fit_curve_reuses_the_reported_mb2_estimate(tmp_path, monkeypatch,
+                                                    model):
+    import dsurv.odds
+    import dsurv.survcurve
+
+    name = "var_model_based2" if model == "prob" else "var_model_based2_odds"
+    original = getattr(dsurv.survcurve, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setitem(dsurv.odds.VARIANCES[model], "mb2", counted)
+    monkeypatch.setattr(dsurv.survcurve, name, counted)
+    reused = tmp_path / "reused.csv"
+    assert main(["fit", "--model", model, "--data", _subject_csv(tmp_path),
+                 "--curve", str(reused), "--x0", "0.5,1.0"]) == 0
+    assert len(calls) == 1
+
+    # without mb2 among the reported kinds the curve makes its own, and
+    # the two curves agree byte for byte
+    own = tmp_path / "own.csv"
+    assert main(["fit", "--model", model, "--data", _subject_csv(tmp_path),
+                 "--variance", "mb3" if model == "odds" else "old",
+                 "--curve", str(own), "--x0", "0.5,1.0"]) == 0
+    assert len(calls) == 2
+    assert own.read_bytes() == reused.read_bytes()
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; import dsurv, dsurv.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"

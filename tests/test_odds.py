@@ -12,9 +12,9 @@ from dsurv import (ConvergenceError, DiscreteSurvivalData, InputError,
                    jacobian_beta, score_beta, var_model_based2,
                    var_model_based2_odds, var_model_based3_odds,
                    var_model_based_odds, var_robust, var_robust_odds)
-from dsurv.odds import (interval_gb, interval_influence_odds,
-                        interval_jacobian_odds, interval_score_odds,
-                        interval_sigma_hat, interval_sigma_tilde)
+from _oracles import (interval_gb, interval_influence_odds,
+                      interval_jacobian_odds, interval_score_odds,
+                      interval_sigma_hat, interval_sigma_tilde)
 
 
 def _make(y, delta, X, J):

@@ -161,3 +161,35 @@ def test_fit_reports_iteration_budget_exhaustion():
     with pytest.raises(ConvergenceError) as err:
         fit_plogit(_make(_Y_B, _D_B, _X_B, 3), tol=1e-14, max_iter=1)
     assert err.value.iterations == 1
+
+
+@pytest.mark.parametrize("full_fisher", [True, False])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_arrow_variances_equal_the_dense_inverse_and_sandwich(full_fisher, seed):
+    # the beta blocks of the full (K+d)^2 inverse and sandwich, with an
+    # all-event and an event-free interval among the J
+    rng = np.random.default_rng(seed)
+    n, J = 50, 6
+    y = rng.integers(1, J + 1, size=n)
+    delta = rng.random(n) < 0.5
+    y[:2], delta[:2] = J + 1, True  # two subjects, both events, at J + 1
+    delta[y == 3] = False
+    X = rng.normal(size=(n, 2))
+    data = _make(y, delta, X, J + 1)
+    fit = fit_plogit(data, tol=1e-12, full_fisher=full_fisher)
+    assert not fit.included[2] and not fit.included[J]
+    mb, rob = plogit_variances(data, fit)
+
+    included = [j + 1 for j in range(J + 1) if fit.included[j]]
+    K = len(included)
+    keep = (np.arange(K + 2) if not full_fisher
+            else np.r_[np.array(included) - 1, J + 1, J + 2])
+    inv = np.linalg.inv(fit.fisher[np.ix_(keep, keep)])
+    design, yb, who = _person_period_design(y, delta, X, included)
+    coef = np.concatenate([fit.beta0[fit.included], fit.beta])
+    resid = yb - 1.0 / (1.0 + np.exp(-(design @ coef)))
+    scores = np.zeros((n, K + 2))
+    np.add.at(scores, who, resid[:, None] * design)
+    full = inv @ (scores.T @ scores) @ inv
+    np.testing.assert_allclose(mb, inv[K:, K:], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(rob, full[K:, K:], rtol=1e-10, atol=0)

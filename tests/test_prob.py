@@ -9,8 +9,8 @@ from dsurv import (CensorOption, ConvergenceError, DiscreteSurvivalData,
                    baseline_log_hazards, discretize, fit_gamma, hessian_gamma,
                    influence_prob, score_gamma, var_model_based,
                    var_model_based2, var_oldstyle, var_robust)
-from dsurv.prob import (interval_ab, interval_hessian, interval_influence,
-                        interval_score, interval_vhat)
+from _oracles import (interval_ab, interval_hessian, interval_influence,
+                      interval_score, interval_vhat)
 
 
 def _make(y, delta, X, J):
