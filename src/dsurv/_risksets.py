@@ -36,6 +36,10 @@ from .data import DiscreteSurvivalData, risk_summary
 # this stays far from the limits of double precision
 _BAND = 300.0
 
+# elements of one dense (event intervals x subjects) block: bounds the
+# working memory of every pass that visits risk-set members one by one
+_TILE = 2 ** 16
+
 
 def _scaled_cumsum(log_scale, values):
     """Cumulative sums of ``e^{log_scale[k]} values[k]`` along axis 0.
@@ -85,8 +89,11 @@ class Aggregates:
     sum.  ``Q*`` (risk set), ``Qf*`` (event-free) and ``Qe0`` (events)
     weight by ``w^2``; ``Z, Zf, Ze`` are the ``w``-weighted sums of a
     per-subject payload.  ``log_s0`` and ``log_s0d`` are the true-scale
-    logs of ``sum e^{eta}`` over the risk set and its event-free part.
-    Sums a call did not request are ``None``.
+    logs of ``sum e^{eta}`` over the risk set and its event-free part,
+    and ``me = M1 / s0d`` is the event-free weighted mean, read at the
+    event-free part's own scale so that it stays finite where ``s0d``
+    underflows (0 without event-free members).  Sums a call did not
+    request are ``None``.
     """
 
     k: np.ndarray
@@ -117,6 +124,7 @@ class Aggregates:
     Z: np.ndarray = None
     Zf: np.ndarray = None
     Ze: np.ndarray = None
+    me: np.ndarray = None
 
     def subset(self, mask):
         """The aggregates of the event intervals selected by ``mask``."""
@@ -212,6 +220,12 @@ def _weighted_sums(lay, Xc, eta, order, squares, Z):
         out["log_s0d"] = np.where(has_free,
                                   np.log(prefix[at_free, 0]) + top[at_free],
                                   -np.inf)
+    if order >= 1:
+        # columns 1..d of the prefix sums hold the M1 group
+        own = prefix[at_free]
+        out["me"] = np.divide(own[:, 1:1 + d], own[:, :1],
+                              out=np.zeros((own.shape[0], d)),
+                              where=has_free[:, None])
     if squares is not None:
         moments(w * w, squares, None, 2.0 * blkmax, _Q_NAMES)
     return out
@@ -402,13 +416,46 @@ class RiskSets:
             reach = np.maximum.accumulate(gk)[np.maximum(at, 0)]
             cand = np.flatnonzero((at >= 0) & (eta + reach > 0))
             # the few candidates are counted exactly, a bounded chunk at a time
-            step = max(1, 2 ** 20 // gk.size)
+            step = max(1, _TILE // gk.size)
             for s in range(0, cand.size, step):
                 c = cand[s:s + step]
                 hit = (gk[None, :] + eta[c, None] > 0) & (
                     np.arange(gk.size)[None, :] <= at[c, None])
                 count += int(hit.sum())
         return count
+
+    def tiles(self, intervals):
+        """Dense tiles over the risk sets of ``intervals`` (1-based,
+        increasing).
+
+        Yields ``(X, span, tiles)`` for each epoch that holds some of
+        them: ``X`` the epoch's covariates in the engine's order over
+        its largest risk set, ``span`` the slice of ``intervals`` in the
+        epoch and ``tiles`` a list of ``(rows, cols)``, a slice of
+        ``intervals`` and a slice of the rows of ``X``.  A tile covers
+        the first ``n_j`` columns of each of its intervals ``j`` (members
+        of later intervals come first, so these are the risk set) and
+        columns past an interval's ``n_j``, which its caller masks; it
+        holds at most ``_TILE`` entries.
+        """
+        intervals = np.asarray(intervals)
+        width = self.n_at_risk[intervals - 1]
+        firsts = [lo for lo, *_ in self._epochs]
+        edges = np.searchsorted(intervals, firsts + [np.inf])
+        for e, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+            if start == stop:
+                continue
+            tiles = []
+            at = start
+            while at < stop:
+                m = int(width[at])
+                rows = min(stop - at, max(1, _TILE // max(m, 1)))
+                step = _TILE // rows
+                tiles += [(slice(at, at + rows), slice(lo, min(lo + step, m)))
+                          for lo in range(0, m, step)]
+                at += rows
+            yield (self._epochs[e][2][:width[start]], slice(start, stop),
+                   tiles)
 
     def epoch_predictors(self, coef):
         """(first interval, last interval, true linear predictor per

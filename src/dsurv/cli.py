@@ -161,7 +161,8 @@ def cmd_fit(args):
                              f"{data.covariate_names} (got {x0.size})")
 
     if args.model == "plogit":
-        fit = fit_plogit(data, tol=args.tol, max_iter=args.max_iter)
+        fit = fit_plogit(data, tol=args.tol, max_iter=args.max_iter,
+                         full_fisher=False)
         point, baseline = fit.beta, fit.beta0
         mb, robust = plogit_variances(data, fit)
         ses = {"mb": np.sqrt(np.diag(mb))} if "mb" in kinds else {}

@@ -283,35 +283,32 @@ def discretize(records, grid: TimeGrid, option: CensorOption,
     """
     bp = grid.breakpoints
     J = grid.n_intervals
-    subjects = []
-    n_beyond = 0
-    for i, (time, status, cov) in enumerate(records):
-        time = float(time)
-        if not np.isfinite(time):
-            raise InputError(f"record {i}: non-finite time")
-        if time < 0:
-            raise InputError(f"record {i}: negative time {time}")
-        sid = str(ids[i]) if ids is not None else str(i + 1)
-        if status:
-            # smallest j with time <= t_j
-            j = int(np.searchsorted(bp, time, side="left")) + 1
-            delta = True
-            if j > J:
-                j, delta = J, False  # event beyond the grid: censored at t_J
-                n_beyond += 1
-            j = max(j, 1)  # an event at exactly time 0 joins the first interval
-        else:
-            if option is CensorOption.CENSORED_EARLY:
-                # largest j with t_j <= time
-                j = int(np.searchsorted(bp, time, side="right"))
-            else:
-                # smallest j with t_j > time
-                j = int(np.searchsorted(bp, time, side="right")) + 1
-            delta = False
-            if j > J:
-                j = J
-                n_beyond += 1
-        subjects.append(SubjectRecord(sid, j, delta, Static(cov)))
+    records = list(records)
+    time = np.array([float(t) for t, _, _ in records])
+    event = np.array([bool(s) for _, s, _ in records], dtype=bool)
+    bad = np.flatnonzero(~np.isfinite(time) | (time < 0))
+    stop = bad[0] if bad.size else len(records)
+
+    j = np.empty(time.size, dtype=np.intp)
+    # events: smallest j with time <= t_j (an event at time 0 joins the
+    # first interval)
+    j[event] = np.searchsorted(bp, time[event], side="left") + 1
+    # censored: largest j with t_j <= time (early) or the next one (late)
+    j[~event] = (np.searchsorted(bp, time[~event], side="right")
+                 + (option is CensorOption.CENSORED_LATE))
+    beyond = j > J
+    n_beyond = int(np.sum(beyond))
+    delta = event & ~beyond  # an event beyond the grid is censored at t_J
+    np.minimum(j, J, out=j)
+
+    subjects = [SubjectRecord(str(ids[i]) if ids is not None else str(i + 1),
+                              int(j[i]), bool(delta[i]), Static(records[i][2]))
+                for i in range(stop)]
+    if stop < len(records):
+        t = time[stop]
+        if not np.isfinite(t):
+            raise InputError(f"record {stop}: non-finite time")
+        raise InputError(f"record {stop}: negative time {float(t)}")
     warnings = []
     if n_beyond:
         warnings.append(f"{n_beyond} record(s) beyond t_J recorded as censored at t_J")

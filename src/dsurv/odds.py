@@ -94,7 +94,7 @@ def jacobian_odds_terms(a):
 def gb_terms(a):
     """Raw classical model-based pieces ``(T S0d / S0^2) sum_i w_i (X_i - me)^{x2}``
     with ``me`` the event-free-weighted covariate mean."""
-    me = a.M1 / a.s0d[:, None]
+    me = a.me
     cross = _outer(a.S1, me)
     spread = (a.S2 - cross - cross.transpose(0, 2, 1)
               + _col(a.S0) * _outer(me, me))
@@ -373,10 +373,12 @@ def _influence_rows_odds(rs, beta):
     cumulative sum, plus its event term ``(S0d/S0)(X_i - me) - (w_i/S0) tau``."""
     a = rs.aggregates(beta, order=1)
     mixed = a.T < a.m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        me = a.M1 / a.s0d[:, None]
-        tau = score_odds_terms(a)
-        free_B = a.T[:, None] * me + (a.Tw / a.s0d)[:, None] * tau
+    me = a.me
+    tau = score_odds_terms(a)
+    # (Tw / S0d) tau without the division, which s0d's underflow would
+    # turn into inf * 0
+    free_B = a.T[:, None] * me + (a.Tw / a.S0)[:, None] * (
+        a.SD1 - a.T[:, None] * me)
     share = np.where(mixed, a.s0d / a.S0, 0.0)
 
     def keep(v):

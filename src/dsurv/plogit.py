@@ -13,8 +13,16 @@ contributions vanish in that limit) and their ``beta0`` entries are
 reported as infinite sentinels.
 
 The joint Newton iteration exploits the arrow structure of the
-information matrix (each intercept appears in exactly one risk set), so
-a step costs O(sum_j n_j d^2) plus one d x d solve.
+information matrix (each intercept appears in exactly one risk set).
+Risk sets are nested prefixes of one subject order, so the person-period
+rows are visited as dense (intervals x subjects) tiles of the risk-set
+engine, and one pass over them gives the log likelihood, the scores and
+the arrow blocks: per Newton step O(sum_j n_j) elementwise work, one
+product of O(sum_j n_j d) for the couplings and O(n d^2) for the beta
+block, plus one d x d solve.  Working memory is O(n d + K d^2) for K
+included intervals plus a fixed tile budget (``_risksets._TILE``
+entries), never proportional to sum_j n_j; only the information matrix
+a fit returns is dense, (J + d)^2 or, compact, (K + d)^2.
 """
 
 from __future__ import annotations
@@ -67,45 +75,154 @@ class PlogitFit:
     warnings: list = field(default_factory=list)
 
 
-def _person_period(data):
-    """Triples ``(member indices, X rows, event indicators)`` for the
-    intervals that carry a finite intercept."""
-    rs = RiskSets(data)
-    live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
-    zero = np.zeros(data.d)
-    triples = []
-    for j in np.flatnonzero(live) + 1:
-        idx, X, D, _ = rs.interval(j, zero)
-        triples.append((idx, X, D.astype(float)))
-    return rs, live, triples
+class _PersonPeriod:
+    """The person-period rows of the intervals that carry a finite
+    intercept, visited as the dense tiles of ``RiskSets.tiles``.
+
+    Each tile holds ``Z = b0_k + eta_i`` for a block of consecutive
+    included intervals ``k`` and a block of the subjects in the engine's
+    order; entries past an interval's risk set are ``-inf``, where the
+    fitted probability, its variance and ``log(1 + e^Z)`` are exactly 0.
+    Event rows enter in closed form: interval ``k``'s events are the
+    rows ``[n_k - T_k, n_k)`` of its epoch.
+    """
+
+    def __init__(self, data):
+        rs = self.rs = RiskSets(data)
+        self.live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
+        js = np.flatnonzero(self.live) + 1
+        self.K = js.size
+        self.T = rs.n_events[js - 1].astype(float)
+        self.m = rs.n_at_risk[js - 1]
+        self.epochs = list(rs.tiles(js))
+        # (event rows, their interval) of each epoch, and the event sum
+        # of X over every included interval
+        self.events = []
+        self.SD = np.zeros(data.d)
+        for X, span, _ in self.epochs:
+            T = self.T[span].astype(np.intp)
+            at = np.repeat(np.arange(T.size), T)
+            rank = np.arange(at.size) - np.repeat(np.cumsum(T) - T, T)
+            rows = self.m[span][at] - T[at] + rank
+            self.events.append((rows, at))
+            self.SD += X[rows].sum(axis=0)
+        # four arrays of the largest tile, reused by every pass
+        size = max(((r.stop - r.start) * (c.stop - c.start)
+                    for _, _, tiles in self.epochs for r, c in tiles),
+                   default=0)
+        self._scratch = np.empty((4, size))
+
+    def _probs(self, b0, eta, rows, cols):
+        """``(Z, E, Q, P)`` of one tile, in the scratch space:
+        ``E = e^{-|Z|}``, ``Q = 1/(1+E)`` and the fitted probabilities
+        ``P``."""
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        Z, E, Q, P = (w[:shape[0] * shape[1]].reshape(shape)
+                      for w in self._scratch)
+        np.add(b0[rows, None], eta[None, cols], out=Z)
+        # columns before `full` lie in every row's risk set
+        full = int(self.m[rows].min()) - cols.start
+        if full < shape[1]:
+            tail = Z[:, full:]
+            past = (np.arange(cols.start + full, cols.stop)[None, :]
+                    >= self.m[rows, None])
+            tail[past] = -np.inf
+        np.abs(Z, out=E)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        np.add(E, 1.0, out=Q)
+        np.reciprocal(Q, out=Q)
+        np.multiply(E, Q, out=P)
+        np.copyto(P, Q, where=Z >= 0.0)
+        return Z, E, Q, P
+
+    def evaluate(self, b0, beta):
+        """Log likelihood, scores and arrow-structured information blocks
+        at ``(b0, beta)`` in one pass over the tiles."""
+        d = beta.size
+        loglik = float(self.T @ b0 + self.SD @ beta)
+        r0, a = self.T.copy(), np.zeros(self.K)
+        C = np.zeros((self.K, d))
+        rb, F = self.SD.copy(), np.zeros((d, d))
+        for X, _, tiles in self.epochs:
+            eta = X @ beta
+            col_p, col_v = np.zeros(eta.size), np.zeros(eta.size)
+            for rows, cols in tiles:
+                Z, E, Q, P = self._probs(b0, eta, rows, cols)
+                # log(1 + e^Z) = max(Z, 0) + log1p(E); V = E Q^2 = P (1 - P)
+                loglik -= float(np.maximum(Z, 0.0, out=Z).sum()
+                                + np.log1p(E, out=Z).sum())
+                V = np.multiply(E, Q, out=E)
+                V *= Q
+                r0[rows] -= P.sum(axis=1)
+                a[rows] += V.sum(axis=1)
+                C[rows] += V @ X[cols]
+                col_p[cols] += P.sum(axis=0)
+                col_v[cols] += V.sum(axis=0)
+            rb -= col_p @ X
+            F += X.T @ (X * col_v[:, None])
+        return _Pass(loglik, r0, rb, a, C, F)
+
+    def gain(self, b0, beta, step0, step):
+        """Log-likelihood change from ``(b0, beta)`` to
+        ``(b0 + step0, beta + step)``.
+
+        Summed from the per-row changes of ``log(1 + e^Z)``, as
+        ``log1p(P expm1(delta))`` where the row's ``|delta| <= 1``, so it
+        resolves gains below the rounding of the log likelihood itself.
+        """
+        out = float(self.T @ step0 + self.SD @ step)
+        for X, _, tiles in self.epochs:
+            eta, shift = X @ beta, X @ step
+            for rows, cols in tiles:
+                Z, _, _, P = self._probs(b0, eta, rows, cols)
+                delta = step0[rows, None] + shift[None, cols]
+                change = np.log1p(P * np.expm1(np.clip(delta, -1.0, 1.0)))
+                big = np.abs(delta) > 1.0
+                if big.any():
+                    z = Z[big]
+                    change[big] = (np.logaddexp(0.0, z + delta[big])
+                                   - np.logaddexp(0.0, z))
+                out -= float(change.sum())
+        return out
+
+    def subject_scores(self, b0, beta, ratio):
+        """Rows ``q_i = sum_k resid_ik (X_i - ratio_k)`` over subject i's
+        person-period rows, ``(n, d)`` in subject order."""
+        q = np.zeros((self.rs.n, beta.size))
+        for (X, span, tiles), (ev_rows, ev_at) in zip(self.epochs,
+                                                      self.events):
+            eta = X @ beta
+            col_p = np.zeros(eta.size)
+            part = np.zeros(X.shape)
+            for rows, cols in tiles:
+                P = self._probs(b0, eta, rows, cols)[3]
+                col_p[cols] += P.sum(axis=0)
+                part[cols] += P.T @ ratio[rows]
+            part -= X * col_p[:, None]
+            part[ev_rows] += X[ev_rows] - ratio[span][ev_at]
+            q[:eta.size] += part
+        out = np.empty_like(q)
+        out[self.rs.order] = q
+        return out
 
 
-def _loglik(triples, b0, beta):
-    out = 0.0
-    for k, (_, X, D) in enumerate(triples):
-        z = b0[k] + X @ beta
-        out += float(D @ z - np.logaddexp(0.0, z).sum())
-    return out
+@dataclass
+class _Pass:
+    """One evaluation: log likelihood, intercept scores ``r0``, beta
+    score ``rb`` and information blocks ``a`` (intercepts), ``C``
+    (couplings), ``F`` (beta)."""
 
+    loglik: float
+    r0: np.ndarray
+    rb: np.ndarray
+    a: np.ndarray
+    C: np.ndarray
+    F: np.ndarray
 
-def _score_info(triples, b0, beta, d):
-    """Scores and the arrow-structured information blocks."""
-    K = len(triples)
-    r0 = np.empty(K)
-    a = np.empty(K)
-    C = np.empty((K, d))
-    rb = np.zeros(d)
-    F = np.zeros((d, d))
-    for k, (_, X, D) in enumerate(triples):
-        p = _expit(b0[k] + X @ beta)
-        resid = D - p
-        v = p * (1.0 - p)
-        r0[k] = resid.sum()
-        rb += resid @ X
-        a[k] = v.sum()
-        C[k] = v @ X
-        F += X.T @ (X * v[:, None])
-    return r0, rb, a, C, F
+    def score_norm(self, n):
+        return max(float(np.max(np.abs(self.r0))),
+                   float(np.max(np.abs(self.rb)))) / n
 
 
 def _expit(z):
@@ -125,14 +242,17 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     logit ``log(T_j / (n_j - T_j))``, takes Newton steps through the
     arrow-structured information with step-halving on the log
     likelihood, and declares convergence when the max-abs 1/n-scaled
-    score component falls below ``tol``.
+    score component falls below ``tol``.  A step whose log likelihood
+    does not exceed the current one is still taken when its gain,
+    summed row by row from the step, is positive: near the optimum the
+    gain falls below the rounding of the log likelihood itself.
 
     With ``full_fisher=False`` the stored information matrix is the
     compact one over included intervals only, ``(K + d) x (K + d)`` with
     ``K`` the number of included intervals, instead of the zero-padded
     ``(J + d) x (J + d)`` layout.  Useful when the grid is much finer
-    than the events (simulation harness); downstream variance code
-    accepts either layout.
+    than the events (simulation harness, ``dsurv fit``); downstream
+    variance code accepts either layout.
 
     Raises
     ------
@@ -147,42 +267,47 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     """
     if data.d < 1:
         raise InputError("no covariates to fit")
-    rs, live, triples = _person_period(data)
-    if not triples:
+    pp = _PersonPeriod(data)
+    if not pp.K:
         raise InputError("no interval has both events and event-free members")
     n, d, J = data.n, data.d, data.n_intervals
-    K = len(triples)
+    K, live = pp.K, pp.live
 
-    T, m = rs.n_events[live], rs.n_at_risk[live]
-    b0 = np.log(T / (m - T))
+    b0 = np.log(pp.T / (pp.m - pp.T))
     beta = np.zeros(d)
-    obj = _loglik(triples, b0, beta)
+    # the pass at the current estimate: its log likelihood, scores and
+    # information
+    cur = pp.evaluate(b0, beta)
 
     converged = False
     score_norm = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        r0, rb, a, C, F = _score_info(triples, b0, beta, d)
-        score_norm = max(float(np.max(np.abs(r0))), float(np.max(np.abs(rb)))) / n
+        score_norm = cur.score_norm(n)
         if score_norm <= tol:
             converged = True
             it -= 1
             break
-        schur = F - (C / a[:, None]).T @ C
-        rhs = rb - C.T @ (r0 / a)
+        schur = cur.F - (cur.C / cur.a[:, None]).T @ cur.C
+        rhs = cur.rb - cur.C.T @ (cur.r0 / cur.a)
         try:
             dbeta = np.linalg.solve(schur, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("fit_plogit: singular information") from exc
         if not np.all(np.isfinite(dbeta)):
             raise SingularMatrixError("fit_plogit: non-finite solve result")
-        db0 = (r0 - C @ dbeta) / a
+        db0 = (cur.r0 - cur.C @ dbeta) / cur.a
         t = 1.0
         while t >= 2.0 ** -40:
             cand0, candb = b0 + t * db0, beta + t * dbeta
-            cand_obj = _loglik(triples, cand0, candb)
-            if cand_obj > obj:
-                b0, beta, obj = cand0, candb, cand_obj
+            cand = pp.evaluate(cand0, candb)
+            if t == 1.0:
+                newton = cand
+            # a gain below the log likelihood's rounding is resolved
+            # from the step itself
+            if (cand.loglik > cur.loglik
+                    or pp.gain(b0, beta, t * db0, t * dbeta) > 0.0):
+                b0, beta, cur = cand0, candb, cand
                 break
             t /= 2.0
         else:
@@ -190,13 +315,8 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
             # log-likelihood's rounding noise while the score is still a
             # little above tol; accept a plain Newton step if it shrinks
             # the score
-            cand0, candb = b0 + db0, beta + dbeta
-            r0c, rbc, _, _, _ = _score_info(triples, cand0, candb, d)
-            cand_norm = max(float(np.max(np.abs(r0c))),
-                            float(np.max(np.abs(rbc)))) / n
-            if cand_norm < score_norm:
-                b0, beta = cand0, candb
-                obj = _loglik(triples, b0, beta)
+            if newton.score_norm(n) < score_norm:
+                b0, beta, cur = b0 + db0, beta + dbeta, newton
             else:
                 raise ConvergenceError("fit_plogit: line search stalled",
                                        iterations=it, score_norm=score_norm)
@@ -205,30 +325,28 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
                 "fit_plogit: divergence (separation suspected)",
                 iterations=it, score_norm=score_norm)
     if not converged:
-        r0, rb, _, _, _ = _score_info(triples, b0, beta, d)
-        score_norm = max(float(np.max(np.abs(r0))), float(np.max(np.abs(rb)))) / n
+        score_norm = cur.score_norm(n)
         if score_norm > tol:
             raise ConvergenceError(
                 f"fit_plogit: no convergence in {max_iter} iterations",
                 iterations=max_iter, score_norm=score_norm)
 
     beta0 = np.full(J, -np.inf)
-    beta0[rs.n_events == rs.n_at_risk] = np.inf
+    beta0[pp.rs.n_events == pp.rs.n_at_risk] = np.inf
     beta0[live] = b0
-    _, _, a, C, F = _score_info(triples, b0, beta, d)
     pos = np.flatnonzero(live)
     if full_fisher:
         fisher = np.zeros((J + d, J + d))
-        fisher[pos, pos] = a
-        fisher[np.ix_(pos, range(J, J + d))] = C
-        fisher[np.ix_(range(J, J + d), pos)] = C.T
-        fisher[J:, J:] = F
+        fisher[pos, pos] = cur.a
+        fisher[np.ix_(pos, range(J, J + d))] = cur.C
+        fisher[np.ix_(range(J, J + d), pos)] = cur.C.T
+        fisher[J:, J:] = cur.F
     else:
         fisher = np.zeros((K + d, K + d))
-        fisher[np.arange(K), np.arange(K)] = a
-        fisher[:K, K:] = C
-        fisher[K:, :K] = C.T
-        fisher[K:, K:] = F
+        fisher[np.arange(K), np.arange(K)] = cur.a
+        fisher[:K, K:] = cur.C
+        fisher[K:, :K] = cur.C.T
+        fisher[K:, K:] = cur.F
 
     warnings = []
     n_excluded = int(np.sum(~live))
@@ -236,7 +354,7 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
         warnings.append(
             f"{n_excluded} interval(s) excluded from the pooled likelihood "
             "(no events or all events); their intercepts are infinite sentinels")
-    return PlogitFit(beta=beta, beta0=beta0, loglik=obj, fisher=fisher,
+    return PlogitFit(beta=beta, beta0=beta0, loglik=cur.loglik, fisher=fisher,
                      iterations=it, score_norm=score_norm, included=live, n=n,
                      warnings=warnings)
 
@@ -263,9 +381,9 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
     ``q_i = sum_k resid_ik (X_i - C_k / a_k)`` over subject i's rows, so
     neither the full inverse nor the per-subject score matrix is formed.
     """
-    _, live, triples = _person_period(data)
-    n, d, J = data.n, data.d, data.n_intervals
-    pos = np.flatnonzero(live)
+    pp = _PersonPeriod(data)
+    d, J = data.d, data.n_intervals
+    pos = np.flatnonzero(pp.live)
     K = pos.size
     info = fit.fisher
     if info.shape[0] == K + d:  # compact layout (full_fisher=False)
@@ -281,9 +399,6 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
     if not np.all(np.isfinite(inv)):
         raise SingularMatrixError("plogit_variances: singular information")
 
-    q = np.zeros((n, d))
-    for k, (idx, X, D) in enumerate(triples):
-        resid = D - _expit(fit.beta0[pos[k]] + X @ fit.beta)
-        q[idx] += resid[:, None] * (X - ratio[k])
+    q = pp.subject_scores(fit.beta0[pos], fit.beta, ratio)
     robust = inv @ (q.T @ q) @ inv
     return 0.5 * (inv + inv.T), 0.5 * (robust + robust.T)

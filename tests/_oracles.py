@@ -376,11 +376,18 @@ def interval_gb(X, D, eta):
     if skip:
         return np.zeros((d, d))
     w, s0, _ = _weights(eta)
-    wn = w * ~D
-    s0d = float(wn.sum())
-    me = (wn @ X) / s0d
+    s0d = float((w * ~D).sum())
+    me = _free_mean(X, D, eta)
     Xc = X - me
     return (T * s0d / (s0 * s0)) * (Xc.T @ (Xc * w[:, None]))
+
+
+def _free_mean(X, D, eta):
+    """The event-free-weighted covariate mean ``M1 / S0d``, weighted
+    relative to the event-free members' own largest ``eta``, so that it
+    is defined however far below the events they sit."""
+    wf = np.exp(eta[~D] - np.max(eta[~D]))
+    return (wf @ X[~D]) / wf.sum()
 
 
 def interval_sigma_hat(X, D, eta):
@@ -456,13 +463,15 @@ def interval_influence_odds(X, D, eta):
     s0d = float(wn.sum())
     M1 = wn @ X
     SD1 = X[D].sum(axis=0)
-    me = M1 / s0d
+    me = _free_mean(X, D, eta)
     Df = D.astype(float)
     resid = (Df * s0d - (1.0 - Df) * w * T) / s0
     rows = resid[:, None] * (X - me)
     q = (s0d * SD1 - T * M1) / s0
-    factor = w / s0 - (1.0 - Df) * w / s0d
-    rows -= factor[:, None] * q[None, :]
+    # factor_i q with factor_i = w_i / S0 - (1 - D_i) w_i / S0d, and
+    # q / S0d = (SD1 - T me) / S0
+    rows -= (w / s0)[:, None] * q[None, :]
+    rows += ((1.0 - Df) * w)[:, None] * ((SD1 - T * me) / s0)[None, :]
     return rows
 
 
@@ -514,6 +523,94 @@ class LoopRiskSets:
             idx, X, D, eta = self.interval(j, coef)
             out[idx] += kernel(X, D, eta)
         return out
+
+
+def plogit_person_period(data):
+    """``(live, triples)``: which intervals have both events and
+    event-free members, and for each of them (in order) the triple
+    ``(member indices, X rows, event indicators as floats)``."""
+    rs = LoopRiskSets(data)
+    live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
+    zero = np.zeros(data.d)
+    triples = []
+    for j in np.flatnonzero(live) + 1:
+        idx, X, D, _ = rs.interval(j, zero)
+        triples.append((idx, X, D.astype(float)))
+    return live, triples
+
+
+def _expit(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def plogit_loglik(triples, b0, beta):
+    """Pooled person-period log likelihood, one interval at a time."""
+    out = 0.0
+    for k, (_, X, D) in enumerate(triples):
+        z = b0[k] + X @ beta
+        out += float(D @ z - np.logaddexp(0.0, z).sum())
+    return out
+
+
+def plogit_score_info(triples, b0, beta, d):
+    """Scores ``r0, rb`` and the arrow-structured information blocks
+    ``a, C, F`` of the pooled likelihood."""
+    K = len(triples)
+    r0 = np.empty(K)
+    a = np.empty(K)
+    C = np.empty((K, d))
+    rb = np.zeros(d)
+    F = np.zeros((d, d))
+    for k, (_, X, D) in enumerate(triples):
+        p = _expit(b0[k] + X @ beta)
+        resid = D - p
+        v = p * (1.0 - p)
+        r0[k] = resid.sum()
+        rb += resid @ X
+        a[k] = v.sum()
+        C[k] = v @ X
+        F += X.T @ (X * v[:, None])
+    return r0, rb, a, C, F
+
+
+def plogit_subject_scores(triples, n, b0, beta, ratio):
+    """Rows ``q_i = sum_k resid_ik (X_i - ratio_k)`` over each subject's
+    person-period rows."""
+    q = np.zeros((n, beta.size))
+    for k, (idx, X, D) in enumerate(triples):
+        resid = D - _expit(b0[k] + X @ beta)
+        q[idx] += resid[:, None] * (X - ratio[k])
+    return q
+
+
+def discretize_loop(times, statuses, breakpoints, early):
+    """``(y, delta, n_beyond)`` of continuous records mapped onto a grid
+    one record at a time (see ``dsurv.discretize``)."""
+    J = len(breakpoints)
+    y, delta, n_beyond = [], [], 0
+    for time, status in zip(times, statuses):
+        if status:
+            j = int(np.searchsorted(breakpoints, time, side="left")) + 1
+            event = True
+            if j > J:
+                j, event = J, False
+                n_beyond += 1
+        else:
+            j = int(np.searchsorted(breakpoints, time, side="right"))
+            if not early:
+                j += 1
+            event = False
+            if j > J:
+                j = J
+                n_beyond += 1
+        y.append(j)
+        delta.append(event)
+    return np.array(y), np.array(delta, dtype=bool), n_beyond
 
 
 def baseline_log_hazards_loop(rs, gamma):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -294,3 +295,34 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+def test_plogit_report_is_the_same_from_either_information_layout(
+        tmp_path, monkeypatch):
+    # the veterans data on the original scale has censoring-only times,
+    # so the compact layout the CLI uses is smaller than the padded one
+    import dsurv.cli
+    from dsurv import fit_plogit
+
+    veteran = str(pathlib.Path(__file__).resolve().parents[1] / "data"
+                  / "veteran.csv")
+    args = ["fit", "--model", "plogit", "--data", veteran, "--tdc",
+            "treat:100,200", "--variance", "mb"]
+    layouts = []
+
+    def fit(*a, **kw):
+        out = fit_plogit(*a, **kw)
+        layouts.append(out.fisher.shape[0])
+        return out
+
+    monkeypatch.setattr(dsurv.cli, "fit_plogit", fit)
+    compact = tmp_path / "compact.json"
+    assert main(args + ["--json", str(compact)]) == 0
+    monkeypatch.setattr(dsurv.cli, "fit_plogit", lambda *a, **kw: fit(
+        *a, **{**kw, "full_fisher": True}))
+    full = tmp_path / "full.json"
+    assert main(args + ["--json", str(full)]) == 0
+    report = json.loads(full.read_text())
+    assert layouts[0] < layouts[1] == (report["n_intervals"]
+                                       + len(report["coefficients"]))
+    assert compact.read_bytes() == full.read_bytes()

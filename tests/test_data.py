@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import _oracles as o
+
 from dsurv import (CensorOption, DiscreteSurvivalData, InputError, Static,
                    SubjectRecord, TimeGrid, TimeVarying, discretize,
                    expand_step_terms, risk_summary)
@@ -169,6 +171,39 @@ def test_discretize_rejects_bad_times():
         discretize([(-1.0, True, [0.0])], grid, CensorOption.CENSORED_LATE)
     with pytest.raises(InputError):
         discretize([(np.nan, False, [0.0])], grid, CensorOption.CENSORED_LATE)
+
+
+@pytest.mark.parametrize("option", list(CensorOption))
+@pytest.mark.parametrize("seed", range(4))
+def test_discretize_equals_the_per_record_loop(option, seed):
+    # times on breakpoints, at 0, inside intervals and beyond t_J
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.cumsum(rng.uniform(0.5, 2.0, 6)))
+    bp = grid.breakpoints
+    n = 200
+    inside = rng.uniform(0.0, 1.2 * bp[-1], 20)
+    time = rng.choice(np.r_[0.0, bp, bp[-1] + 1.0, inside], size=n)
+    status = rng.random(n) < 0.5
+    records = [(t, s, [float(i)]) for i, (t, s) in enumerate(zip(time, status))]
+    data = discretize(records, grid, option)
+    early = option is CensorOption.CENSORED_EARLY
+    y, delta, n_beyond = o.discretize_loop(time, status, bp, early)
+    np.testing.assert_array_equal(data.y, y)
+    np.testing.assert_array_equal(data.delta, delta)
+    assert data.warnings == ([f"{n_beyond} record(s) beyond t_J recorded as "
+                              "censored at t_J"] if n_beyond else [])
+    assert n_beyond > 0
+    np.testing.assert_array_equal(data.covariates_at(1)[:, 0], np.arange(n))
+    assert [s.id for s in data.subjects] == [str(i + 1) for i in range(n)]
+
+
+def test_discretize_names_the_first_bad_record():
+    grid = TimeGrid([10.0])
+    records = [(1.0, True, [0.0]), (-2.0, False, [0.0]), (np.nan, True, [0.0])]
+    with pytest.raises(InputError, match="record 1: negative time -2.0"):
+        discretize(records, grid, CensorOption.CENSORED_LATE)
+    with pytest.raises(InputError, match="record 1: non-finite time"):
+        discretize(records[::2], grid, CensorOption.CENSORED_LATE)
 
 
 def test_discretize_keeps_ids_and_names():

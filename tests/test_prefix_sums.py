@@ -13,6 +13,7 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -161,6 +162,37 @@ def test_odds_aggregates_and_influence_match_the_loop(case):
     _close(influence_odds(data, fit).total,
            loop.scatter(beta, o.interval_influence_odds), x)
     _close(fit.beta0, o.baseline_log_odds_loop(loop, beta))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_odds_meats_and_influence_stay_finite_when_event_free_sums_underflow():
+    # subject 0 sits 1,400 or more above everyone and has an event in
+    # interval 1: at that risk set's scale its event-free sum underflows
+    rng = np.random.default_rng(9)
+    n, J = 16, 3
+    y = rng.integers(1, J + 1, n)
+    delta = rng.random(n) < 0.6
+    y[0], delta[0] = 1, True
+    X = np.column_stack([rng.uniform(-4.0, -3.0, n), rng.normal(size=n)])
+    X[0, 0] = 4.0
+    beta = np.array([200.0, 0.4])
+    subs = [SubjectRecord(str(i + 1), int(y[i]), bool(delta[i]), Static(X[i]))
+            for i in range(n)]
+    data = DiscreteSurvivalData(TimeGrid(np.arange(1.0, J + 1)), subs)
+    loop = o.LoopRiskSets(data)
+    gb, sigma_hat, sigma_tilde = loop.sums(
+        beta, o.interval_gb, o.interval_sigma_hat, o.interval_sigma_tilde)
+    fit = _odds_fit(data, beta, np.eye(2))
+    x, _ = _size(data, beta)
+    for estimator, want in ((var_model_based_odds, gb),
+                            (var_model_based2_odds, sigma_hat),
+                            (var_model_based3_odds, sigma_tilde)):
+        got = _meat(estimator, data, fit)
+        assert np.all(np.isfinite(got))
+        _close(got, 0.5 * (want + want.T) / n, x * x)
+    rows = influence_odds(data, fit).total
+    assert np.all(np.isfinite(rows))
+    _close(rows, loop.scatter(beta, o.interval_influence_odds), x)
 
 
 def _bread(rng, d):
