@@ -274,9 +274,12 @@ def cmd_discretize(args):
         with open(args.out, "w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["id", "interval", "event"] + data.covariate_names)
-            for s in data.subjects:
-                writer.writerow([s.id, s.y_index, int(s.delta)]
-                                + [format_float(v) for v in s.covariates.at(s.y_index)])
+            # covariates in each subject's last interval (the first for y = 0)
+            epoch = np.searchsorted(data.firsts, np.maximum(data.y, 1), side="right") - 1
+            last = data.epochs[epoch, np.arange(data.n)]
+            for sid, y, event, x in zip(data.ids.tolist(), data.y.tolist(),
+                                        data.delta.astype(int).tolist(), last.tolist()):
+                writer.writerow([sid, y, event] + [format_float(v) for v in x])
     for w in data.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0

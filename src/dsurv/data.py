@@ -8,15 +8,20 @@ per interval).  From these the risk and event indicators are derived as
 
     R[j, i] = 1{y_index_i >= j},    D[j, i] = 1{y_index_i == j and delta_i},
 
-for ``j = 1, ..., J``.  Continuous records are mapped onto a grid by
-:func:`discretize`; an uncensored time in ``(t_{j-1}, t_j]`` is encoded
-as interval ``j``, while a censored time in ``[t_{j-1}, t_j)`` is encoded
-as interval ``j - 1`` (censored-early) or ``j`` (censored-late).
+for ``j = 1, ..., J``.  A sample holds these as arrays, its covariates by
+epoch: a run of intervals over which no covariate changes, as in the
+counting-process ``(start, stop]`` layout.  Every builder goes through
+:meth:`DiscreteSurvivalData.from_arrays`.  Continuous records are mapped
+onto a grid by :func:`discretize`; an uncensored time in
+``(t_{j-1}, t_j]`` is encoded as interval ``j``, while a censored time in
+``[t_{j-1}, t_j)`` is encoded as interval ``j - 1`` (censored-early) or
+``j`` (censored-late).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -133,64 +138,92 @@ class SubjectRecord:
 
 
 class DiscreteSurvivalData:
-    """A discrete-time survival sample on a common grid.
+    """A discrete-time survival sample on a common grid, held as arrays.
+
+    Attributes are ``y`` and ``delta`` (one entry per subject), ``ids``,
+    ``covariate_names``, ``warnings``, and the covariates by epoch:
+    ``epochs`` is ``(E, n, d)``, every subject's covariates in each
+    epoch, and ``firsts`` the first interval of each epoch (``firsts[0]
+    == 1``).  Static covariates form one epoch and each step term adds
+    at most one, so memory is linear in ``n``.
 
     Parameters
     ----------
     grid : TimeGrid
     subjects : sequence of SubjectRecord
+        Gathered into the arrays, a time-varying path as one epoch per
+        interval; :meth:`from_arrays` builds a sample from arrays.
     covariate_names : sequence of str, optional
         Defaults to ``x1, ..., xd``.
 
     Notes
     -----
-    The constructor validates that all subjects share the covariate
-    dimension, that ``y_index <= J`` and that all entries are finite.
-    Derived indicator arrays are exposed through :attr:`y`, :attr:`delta`
-    and :meth:`covariates_at`.
+    Construction checks that all subjects share the covariate dimension,
+    that ``y_index <= J`` and that all entries are finite.
     """
 
     def __init__(self, grid: TimeGrid, subjects: Sequence[SubjectRecord],
                  covariate_names: Sequence[str] | None = None,
                  warnings: Sequence[str] | None = None):
-        self.grid = grid
-        self.subjects = list(subjects)
-        if not self.subjects:
-            raise InputError("dataset has no subjects")
+        records = list(subjects)
         J = grid.n_intervals
-        d = self.subjects[0].covariates.d
-        for s in self.subjects:
-            if s.covariates.d != d:
-                raise InputError("covariate dimension differs across subjects")
-            if s.y_index > J:
-                raise InputError(f"subject {s.id}: y_index {s.y_index} exceeds J={J}")
-            if not np.all(np.isfinite(s.covariates.values)):
-                raise InputError(f"subject {s.id}: non-finite covariate")
-            if isinstance(s.covariates, TimeVarying) and s.covariates.values.shape[0] != J:
-                raise InputError(f"subject {s.id}: time-varying path has wrong row count")
-        self.d = d
+        paths = [s.covariates.values for s in records]
+        firsts = None
+        if any(p.ndim == 2 for p in paths):
+            bad = next((s for s, p in zip(records, paths) if p.ndim == 2 and len(p) != J), None)
+            if bad is not None:
+                raise InputError(f"subject {bad.id}: time-varying path has wrong row count")
+            paths = [np.broadcast_to(p, (J, p.shape[-1])) for p in paths]
+            firsts = np.arange(1, J + 1)
+        self._setup(grid, [s.y_index for s in records], [s.delta for s in records],
+                    _stack(paths), firsts, [s.id for s in records], covariate_names,
+                    warnings)
+
+    @classmethod
+    def from_arrays(cls, grid: TimeGrid, y, delta, X, firsts=None, ids=None,
+                    covariate_names: Sequence[str] | None = None,
+                    warnings: Sequence[str] | None = None) -> "DiscreteSurvivalData":
+        """Build a sample from arrays: ``X`` is ``(n, d)`` for static
+        covariates, or ``(E, n, d)`` with ``firsts`` the first interval
+        of each epoch.  ``ids`` default to ``"1", ..., "n"``.  The arrays
+        are kept, not copied."""
+        data = cls.__new__(cls)
+        data._setup(grid, y, delta, X, firsts, ids, covariate_names, warnings)
+        return data
+
+    def _setup(self, grid, y, delta, X, firsts, ids, covariate_names, warnings):
+        y, delta = np.asarray(y, dtype=np.intp), np.asarray(delta, dtype=bool)
+        n, J = y.size, grid.n_intervals
+        if n == 0:
+            raise InputError("dataset has no subjects")
+        X = np.asarray(X, dtype=float)
+        X = X[None] if X.ndim == 2 else X
+        firsts = np.asarray([1] if firsts is None else firsts, dtype=np.intp)
+        ids = np.arange(1, n + 1).astype(str) if ids is None else np.asarray(ids, dtype=str)
+        if (X.ndim != 3 or X.shape[:2] != (firsts.size, n)
+                or not y.shape == delta.shape == ids.shape == (n,)
+                or firsts[0] != 1 or np.any(np.diff(firsts) <= 0) or firsts[-1] > J):
+            raise InputError("need y, delta and ids of length n, and X of shape (n, d) "
+                             "or (E, n, d) for E epochs starting at 1 within the grid")
         if covariate_names is None:
-            covariate_names = [f"x{k + 1}" for k in range(d)]
-        if len(covariate_names) != d:
+            covariate_names = [f"x{k + 1}" for k in range(X.shape[2])]
+        if len(covariate_names) != X.shape[2]:
             raise InputError("covariate_names length must equal d")
+        finite = np.all(np.isfinite(X), axis=(0, 2))
+        bad = np.flatnonzero((y < 0) | (y > J) | (delta & (y < 1)) | ~finite)
+        if bad.size:  # the first bad subject's record raises for y_index and delta
+            i = bad[0]
+            SubjectRecord(ids[i], y[i], delta[i], None)
+            raise InputError(f"subject {ids[i]}: y_index {y[i]} exceeds J={J}" if y[i] > J
+                             else f"subject {ids[i]}: non-finite covariate")
+        self.grid, self.y, self.delta, self.ids = grid, y, delta, ids
+        self.epochs, self.firsts, self.d = X, firsts, X.shape[2]
         self.covariate_names = list(covariate_names)
         self.warnings = list(warnings or [])
 
-        self.y = np.array([s.y_index for s in self.subjects], dtype=np.intp)
-        self.delta = np.array([s.delta for s in self.subjects], dtype=bool)
-        self._static = all(isinstance(s.covariates, Static) for s in self.subjects)
-        if self._static:
-            self._X = np.array([s.covariates.values for s in self.subjects])
-        else:
-            # densify: static paths broadcast across intervals
-            X = np.empty((len(self.subjects), J, d))
-            for i, s in enumerate(self.subjects):
-                X[i] = s.covariates.values  # (J,d) or broadcast (d,)
-            self._X = X
-
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return self.y.size
 
     @property
     def n_intervals(self) -> int:
@@ -198,36 +231,51 @@ class DiscreteSurvivalData:
 
     @property
     def is_static(self) -> bool:
-        return self._static
+        return self.firsts.size == 1
 
     def covariates_at(self, j: int) -> np.ndarray:
-        """Covariate matrix ``(n, d)`` evaluated at interval ``j`` (1-based)."""
-        if self._static:
-            return self._X
-        return self._X[:, j - 1, :]
+        """Covariate matrix ``(n, d)`` evaluated at interval ``j`` (1-based):
+        a view of the epoch that holds ``j``."""
+        return self.epochs[np.searchsorted(self.firsts, j, side="right") - 1]
 
     def covariate_changes(self) -> np.ndarray:
         """Intervals ``j > 1`` at which a subject still at risk has other
         covariates than at ``j - 1`` (empty for static covariates)."""
-        if self._static or self.n_intervals < 2:
-            return np.zeros(0, dtype=np.intp)
-        changed = np.any(self._X[:, 1:] != self._X[:, :-1], axis=2)
-        at_risk = self.y[:, None] >= np.arange(2, self.n_intervals + 1)
-        return np.flatnonzero(np.any(changed & at_risk, axis=0)) + 2
+        changed = np.any(self.epochs[1:] != self.epochs[:-1], axis=2)  # (E-1, n)
+        at_risk = self.y >= self.firsts[1:, None]
+        return self.firsts[1:][np.any(changed & at_risk, axis=1)]
 
     def recentered(self, x0) -> "DiscreteSurvivalData":
         """Return a copy with ``x0`` subtracted from every covariate path."""
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (self.d,):
             raise InputError(f"x0 must have length d={self.d}")
-        subs = []
-        for s in self.subjects:
-            path = (Static(s.covariates.values - x0)
-                    if isinstance(s.covariates, Static)
-                    else TimeVarying(s.covariates.values - x0))
-            subs.append(SubjectRecord(s.id, s.y_index, s.delta, path))
-        return DiscreteSurvivalData(self.grid, subs, self.covariate_names,
-                                    warnings=self.warnings)
+        return DiscreteSurvivalData.from_arrays(
+            self.grid, self.y, self.delta, self.epochs - x0, self.firsts, self.ids,
+            self.covariate_names, self.warnings)
+
+    @functools.cached_property
+    def subjects(self) -> list:
+        """The sample as :class:`SubjectRecord` objects, built on first
+        access: :class:`Static` paths for one epoch, else :class:`TimeVarying`."""
+        if self.is_static:
+            paths = map(Static, self.epochs[0].copy())
+        else:
+            dense = np.repeat(self.epochs, np.diff(self.firsts, append=self.n_intervals + 1),
+                              axis=0)  # (J, n, d)
+            paths = (TimeVarying(dense[:, i]) for i in range(self.n))
+        return [SubjectRecord(*rec, path) for rec, path in
+                zip(zip(self.ids.tolist(), self.y.tolist(), self.delta.tolist()), paths)]
+
+
+def _stack(paths):
+    """Per-subject covariate vectors ``(d,)`` or paths ``(J, d)`` as one
+    ``(n, d)`` or ``(J, n, d)`` array."""
+    if not paths:
+        return np.zeros((0, 0))
+    if any(p.shape[-1] != paths[0].shape[-1] for p in paths):
+        raise InputError("covariate dimension differs across subjects")
+    return np.stack(paths, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -259,9 +307,10 @@ def discretize(records, grid: TimeGrid, option: CensorOption,
 
     Parameters
     ----------
-    records : sequence of (time, status, covariates)
+    records : sequence of (time, status, covariates), or a tuple of arrays
         ``status`` truthy means an observed event; ``covariates`` is a
-        length-``d`` vector.
+        length-``d`` vector.  The array form is one tuple ``(time,
+        status, X)`` of ndarrays with ``X`` of shape ``(n, d)``.
     grid : TimeGrid
     option : CensorOption
         Censored-time convention; see module docstring.
@@ -281,14 +330,24 @@ def discretize(records, grid: TimeGrid, option: CensorOption,
     uncensored times beyond ``t_J`` are recorded as censored at ``t_J``,
     and censored times mapping past ``t_J`` are truncated to ``t_J``.
     """
+    if (isinstance(records, tuple) and len(records) == 3
+            and all(isinstance(a, np.ndarray) for a in records) and records[2].ndim == 2):
+        time, event, X = records
+        time, event = time.astype(float), event.astype(bool)
+    else:
+        records = list(records)
+        time = np.array([float(t) for t, _, _ in records])
+        event = np.array([bool(s) for _, s, _ in records], dtype=bool)
+        X = _stack([Static(x).values for _, _, x in records])
+    bad = np.flatnonzero(~np.isfinite(time) | (time < 0))
+    if bad.size:
+        t = time[bad[0]]
+        if not np.isfinite(t):
+            raise InputError(f"record {bad[0]}: non-finite time")
+        raise InputError(f"record {bad[0]}: negative time {float(t)}")
+
     bp = grid.breakpoints
     J = grid.n_intervals
-    records = list(records)
-    time = np.array([float(t) for t, _, _ in records])
-    event = np.array([bool(s) for _, s, _ in records], dtype=bool)
-    bad = np.flatnonzero(~np.isfinite(time) | (time < 0))
-    stop = bad[0] if bad.size else len(records)
-
     j = np.empty(time.size, dtype=np.intp)
     # events: smallest j with time <= t_j (an event at time 0 joins the
     # first interval)
@@ -300,51 +359,40 @@ def discretize(records, grid: TimeGrid, option: CensorOption,
     n_beyond = int(np.sum(beyond))
     delta = event & ~beyond  # an event beyond the grid is censored at t_J
     np.minimum(j, J, out=j)
-
-    subjects = [SubjectRecord(str(ids[i]) if ids is not None else str(i + 1),
-                              int(j[i]), bool(delta[i]), Static(records[i][2]))
-                for i in range(stop)]
-    if stop < len(records):
-        t = time[stop]
-        if not np.isfinite(t):
-            raise InputError(f"record {stop}: non-finite time")
-        raise InputError(f"record {stop}: negative time {float(t)}")
     warnings = []
     if n_beyond:
         warnings.append(f"{n_beyond} record(s) beyond t_J recorded as censored at t_J")
-    return DiscreteSurvivalData(grid, subjects, covariate_names, warnings=warnings)
+    return DiscreteSurvivalData.from_arrays(grid, j, delta, X, ids=ids,
+                                            covariate_names=covariate_names,
+                                            warnings=warnings)
 
 
 def expand_step_terms(data: DiscreteSurvivalData, base_column: int,
                       thresholds: Sequence[float]) -> DiscreteSurvivalData:
     """Append time-dependent columns ``base(t_j) * 1{t_j > threshold}``.
 
-    One new column is appended per threshold; all covariate paths in the
-    result are time-varying.  New columns are named ``<base>2, <base>3, ...``
-    following the convention for a base term with step changes at the
-    given thresholds.
+    One new column is appended per threshold, and each threshold's
+    switch-on interval starts a new epoch.  New columns are named
+    ``<base>2, <base>3, ...`` following the convention for a base term
+    with step changes at the given thresholds.
     """
     if not 0 <= base_column < data.d:
         raise InputError(f"base_column {base_column} out of range for d={data.d}")
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
+    thresholds = np.array([float(t) for t in thresholds])
+    if not thresholds.size:
         return data
+    bp = data.grid.breakpoints
     for t in thresholds:
-        if t < 0 or t > data.grid.breakpoints[-1]:
+        if t < 0 or t > bp[-1]:
             raise InputError(f"threshold {t} outside the grid range")
-    J = data.n_intervals
-    step = np.column_stack([(data.grid.breakpoints > t).astype(float)
-                            for t in thresholds])  # (J, m)
-    subjects = []
-    for s in data.subjects:
-        base = (np.repeat(s.covariates.values[None, base_column], J)
-                if isinstance(s.covariates, Static)
-                else s.covariates.values[:, base_column])
-        extra = step * base[:, None]
-        old = (np.broadcast_to(s.covariates.values, (J, data.d))
-               if isinstance(s.covariates, Static) else s.covariates.values)
-        subjects.append(SubjectRecord(s.id, s.y_index, s.delta,
-                                      TimeVarying(np.hstack([old, extra]))))
+    # the term of threshold t is on from the first interval with t_j > t
+    on = np.searchsorted(bp, thresholds, side="right") + 1
+    firsts = np.union1d(data.firsts, on[on <= data.n_intervals])
+    old = data.epochs[np.searchsorted(data.firsts, firsts, side="right") - 1]
+    step = (bp[firsts - 1, None] > thresholds).astype(float)  # (E, m)
+    extra = old[:, :, base_column, None] * step[:, None, :]
     base_name = data.covariate_names[base_column]
-    names = data.covariate_names + [f"{base_name}{k + 2}" for k in range(len(thresholds))]
-    return DiscreteSurvivalData(data.grid, subjects, names, warnings=data.warnings)
+    names = data.covariate_names + [f"{base_name}{k + 2}" for k in range(thresholds.size)]
+    return DiscreteSurvivalData.from_arrays(
+        data.grid, data.y, data.delta, np.concatenate([old, extra], axis=2), firsts,
+        data.ids, names, data.warnings)

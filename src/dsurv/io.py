@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CensorOption, DiscreteSurvivalData, Static, SubjectRecord,
-                   TimeGrid, TimeVarying, discretize)
+from .data import CensorOption, DiscreteSurvivalData, TimeGrid, discretize
 from .errors import InputError
 from .twosample import StratifiedTables
 
@@ -74,13 +73,22 @@ def _floats(values, name, path):
 
 
 def read_subject_csv(path) -> SubjectTable:
-    """Read ``id,time,status,<covariates...>``; extra column order is kept."""
+    """Read ``id,time,status,<covariates...>``; extra column order is kept.
+
+    Each subject has one row, so a repeated ``id`` is an input error.
+    """
     header, rows = _read_rows(path)
     for row in rows:
         if len(row) != len(header):
             raise InputError(f"{path}: ragged row with {len(row)} fields "
                              f"(header has {len(header)})")
     ids = _column(header, rows, "id", path)
+    _, first, seen = np.unique(ids, return_index=True, return_inverse=True)
+    repeat = np.flatnonzero(first[seen] != np.arange(len(ids)))
+    if repeat.size:
+        k = repeat[0]
+        raise InputError(f"{path}: duplicate id '{ids[k]}' (rows {first[seen[k]] + 1} "
+                         f"and {k + 1})")
     time = _floats(_column(header, rows, "time", path), "time", path)
     status = _floats(_column(header, rows, "status", path), "status", path)
     if np.any((status != 0) & (status != 1)):
@@ -108,19 +116,14 @@ def build_data(table: SubjectTable, grid: TimeGrid | None = None,
     if width is not None:
         grid = TimeGrid.from_width(width, float(np.max(table.time)))
     if grid is not None:
-        records = [(t, s, x) for t, s, x in
-                   zip(table.time, table.status, table.covariates)]
-        return discretize(records, grid, censor, ids=table.ids,
-                          covariate_names=table.names)
+        return discretize((table.time, table.status, table.covariates), grid, censor,
+                          ids=table.ids, covariate_names=table.names)
     if np.any(table.time <= 0):
         raise InputError("as-discrete ingestion needs strictly positive times")
     times = np.unique(table.time)
-    grid = TimeGrid(times)
-    idx = np.searchsorted(times, table.time) + 1
-    subjects = [SubjectRecord(str(i), int(j), bool(s), Static(x))
-                for i, j, s, x in zip(table.ids, idx, table.status,
-                                      table.covariates)]
-    return DiscreteSurvivalData(grid, subjects, covariate_names=table.names)
+    return DiscreteSurvivalData.from_arrays(
+        TimeGrid(times), np.searchsorted(times, table.time) + 1, table.status,
+        table.covariates, ids=table.ids, covariate_names=table.names)
 
 
 def read_person_period_csv(path) -> DiscreteSurvivalData:
@@ -129,7 +132,9 @@ def read_person_period_csv(path) -> DiscreteSurvivalData:
     Each subject contributes one row per interval it is at risk in,
     with intervals contiguous from 1; ``event`` may be 1 only on the
     last row.  The grid is taken as ``1..J`` in the absence of real
-    times.
+    times.  The paths are stored by epoch (see
+    :class:`~dsurv.data.DiscreteSurvivalData`), without an ``(n, J, d)``
+    array.
     """
     header, rows = _read_rows(path)
     ids = _column(header, rows, "id", path)
@@ -146,29 +151,34 @@ def read_person_period_csv(path) -> DiscreteSurvivalData:
         raise InputError(f"{path}: interval must be a positive integer")
     J = int(np.max(interval))
 
-    by_subject: dict = {}
-    for k, sid in enumerate(ids):
-        by_subject.setdefault(sid, []).append(k)
-    subjects = []
-    for sid, rows_k in by_subject.items():
-        js = interval[rows_k]
-        order = np.argsort(js)
-        rows_k = [rows_k[o] for o in order]
-        js = js[order]
-        if not np.array_equal(js, np.arange(1, len(js) + 1)):
-            raise InputError(f"{path}: subject '{sid}' intervals must run 1..last "
+    # number the subjects in the order the file first lists them, and
+    # sort the rows by subject, then interval
+    index: dict = {}
+    code = np.array([index.setdefault(sid, len(index)) for sid in ids])
+    order = np.lexsort((interval, code))
+    code, interval, event, cols = code[order], interval[order], event[order], cols[order]
+    y = np.bincount(code)
+    start = np.cumsum(y) - y
+    pos = np.arange(code.size) - start[code] + 1  # 1..y within each subject
+    gaps = np.bincount(code, weights=interval != pos) > 0
+    early = np.bincount(code, weights=(event == 1) & (pos < y[code])) > 0
+    bad = np.flatnonzero(gaps | early)
+    if bad.size:
+        name = list(index)[bad[0]]
+        if gaps[bad[0]]:
+            raise InputError(f"{path}: subject '{name}' intervals must run 1..last "
                              "without gaps or repeats")
-        ev = event[rows_k]
-        if np.any(ev[:-1] == 1):
-            raise InputError(f"{path}: subject '{sid}' has an event before its "
-                             "last at-risk interval")
-        y = len(rows_k)
-        values = np.vstack([cols[rows_k], np.repeat(cols[rows_k[-1]][None, :],
-                                                    J - y, axis=0)])
-        subjects.append(SubjectRecord(str(sid), y, bool(ev[-1]),
-                                      TimeVarying(values)))
-    return DiscreteSurvivalData(TimeGrid(np.arange(1.0, J + 1)), subjects,
-                                covariate_names=names)
+        raise InputError(f"{path}: subject '{name}' has an event before its "
+                         "last at-risk interval")
+    # an epoch starts wherever a row differs from the one before it (the
+    # subject's previous row, unless the row is at interval 1, which
+    # starts the first epoch); past its last row a subject keeps its values
+    changed = np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)]
+    firsts = np.unique(interval[changed]).astype(np.intp)
+    rows = start + np.minimum(firsts[:, None], y) - 1  # (E, n)
+    return DiscreteSurvivalData.from_arrays(
+        TimeGrid(np.arange(1.0, J + 1)), y, event[start + y - 1] == 1, cols[rows],
+        firsts, ids=list(index), covariate_names=names)
 
 
 def read_tables_csv(path) -> StratifiedTables:

@@ -153,9 +153,7 @@ def generate(scenario: SimScenario, rep_index: int) -> DiscreteSurvivalData:
     delta = T <= C
     t_max = s.t_max if s.t_max is not None else float(np.max(y_cont))
     grid = TimeGrid.from_width(s.bin_width, t_max)
-    records = [(y_cont[i], bool(delta[i]), X[i]) for i in range(s.n)]
-    return discretize(records, grid, s.censor_option,
-                      ids=[str(i + 1) for i in range(s.n)],
+    return discretize((y_cont, delta, X), grid, s.censor_option,
                       covariate_names=list(_COVARIATE_NAMES))
 
 

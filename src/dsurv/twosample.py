@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteSurvivalData, Static, SubjectRecord, TimeGrid
+from .data import DiscreteSurvivalData, TimeGrid
 from .errors import ConvergenceError, InputError
 
 __all__ = [
@@ -291,21 +291,15 @@ def tables_to_survival(tables: StratifiedTables) -> DiscreteSurvivalData:
     """Expand nested stratified tables into the equivalent one-covariate
     dataset (group 1 coded ``x = 1``), with stratum ``j`` as interval ``j``."""
     c = _censoring_counts(tables)
-    events = (tables.n11, tables.n21)
-    subjects = []
-    k = 0
-    for a, x in ((0, 1.0), (1, 0.0)):
-        cov = Static(np.array([x]))
-        for j in range(1, tables.n_strata + 1):
-            for _ in range(int(events[a][j - 1])):
-                subjects.append(SubjectRecord(id=f"s{k}", y_index=j, delta=True,
-                                              covariates=cov))
-                k += 1
-            for _ in range(int(c[a][j - 1])):
-                subjects.append(SubjectRecord(id=f"s{k}", y_index=j, delta=False,
-                                              covariates=cov))
-                k += 1
-    if not subjects:
+    J = tables.n_strata
+    # per group (1, then 2) and stratum: the events, then the censored
+    counts = np.array([[tables.n11, c[0]], [tables.n21, c[1]]]).transpose(0, 2, 1)
+    group, j, censored = np.indices(counts.shape).reshape(3, -1)
+    counts = counts.ravel().astype(np.intp)
+    n = int(counts.sum())
+    if not n:
         raise InputError("tables contain no subjects")
-    grid = TimeGrid(np.arange(1.0, tables.n_strata + 1))
-    return DiscreteSurvivalData(grid, subjects, covariate_names=["group1"])
+    return DiscreteSurvivalData.from_arrays(
+        TimeGrid(np.arange(1.0, J + 1)), np.repeat(j + 1, counts),
+        np.repeat(censored == 0, counts), np.repeat(1.0 - group, counts)[:, None],
+        ids=np.char.add("s", np.arange(n).astype(str)), covariate_names=["group1"])

@@ -613,6 +613,48 @@ def discretize_loop(times, statuses, breakpoints, early):
     return np.array(y), np.array(delta, dtype=bool), n_beyond
 
 
+# ---------------------------------------------------------------------------
+# dense covariate paths: one (J, d) row block per subject
+# ---------------------------------------------------------------------------
+
+def step_paths(paths, breakpoints, base_column, thresholds):
+    """``(n, J, d + m)``: the ``(n, J, d)`` paths with the step terms
+    ``x_base(t_j) * 1{t_j > c}`` appended for each threshold ``c``, one
+    subject and one interval at a time."""
+    n, J, _ = paths.shape
+    out = [[list(paths[i, j]) + [paths[i, j, base_column] * float(breakpoints[j] > c)
+                                 for c in thresholds]
+            for j in range(J)] for i in range(n)]
+    return np.array(out, dtype=float).reshape(n, J, -1)
+
+
+def person_period_paths(rows, J):
+    """``(ids, y, delta, paths)`` of person-period rows ``(id, interval,
+    event, x)``: subjects in the order the rows first list them, and a
+    path that keeps its last row's values after the subject's last
+    interval."""
+    by_id = {}
+    for sid, j, event, x in rows:
+        by_id.setdefault(sid, {})[j] = (event, list(x))
+    ids, y, delta, paths = [], [], [], []
+    for sid, per_j in by_id.items():
+        last = max(per_j)
+        ids.append(sid)
+        y.append(last)
+        delta.append(bool(per_j[last][0]))
+        paths.append([per_j[min(j, last)][1] for j in range(1, J + 1)])
+    return ids, np.array(y), np.array(delta), np.array(paths, dtype=float)
+
+
+def covariate_changes(paths, y):
+    """Intervals ``j > 1`` at which a subject with ``y >= j`` has other
+    covariates than at ``j - 1``, from ``(n, J, d)`` paths."""
+    n, J, _ = paths.shape
+    return np.array([j for j in range(2, J + 1)
+                     if any(y[i] >= j and np.any(paths[i, j - 1] != paths[i, j - 2])
+                            for i in range(n))], dtype=int)
+
+
 def baseline_log_hazards_loop(rs, gamma):
     out = np.full(rs.data.n_intervals, -np.inf)
     for j in rs.event_intervals:

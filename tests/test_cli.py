@@ -145,6 +145,25 @@ def test_discretize_prints_the_risk_table(tmp_path, capsys):
     assert len(written) == 10
 
 
+@pytest.mark.parametrize("command", [["fit", "--model", "prob"], ["discretize"]])
+def test_repeated_subject_ids_fail_with_input_error(tmp_path, capsys, command):
+    path = tmp_path / "subjects.csv"
+    path.write_text(_SUBJECTS + "3,4,1,0.0,0.0\n")
+    assert main(command + ["--data", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input: {path}: duplicate id '3' (rows 3 and 10)\n")
+
+
+def test_person_period_repeats_fail_with_input_error(tmp_path, capsys):
+    path = tmp_path / "pp.csv"
+    path.write_text("id,interval,event,z\na,1,0,1.0\na,1,1,1.5\nb,1,1,0.2\n")
+    assert main(["fit", "--model", "prob", "--person-period",
+                 "--data", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input: {path}: subject 'a' intervals must run 1..last "
+        "without gaps or repeats\n")
+
+
 def test_tables_command_prints_both_closed_forms(tmp_path, capsys):
     path = tmp_path / "tables.csv"
     path.write_text("stratum,n11,n12,n21,n22\n1,4,6,2,8\n")

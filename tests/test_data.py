@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import _oracles as o
 
 from dsurv import (CensorOption, DiscreteSurvivalData, InputError, Static,
                    SubjectRecord, TimeGrid, TimeVarying, discretize,
                    expand_step_terms, risk_summary)
+from dsurv.io import read_person_period_csv
 
 
 def _make(y, delta, X, J):
@@ -89,6 +92,27 @@ def test_dataset_validation():
     with pytest.raises(InputError):  # bad name list
         DiscreteSurvivalData(grid, [SubjectRecord("a", 1, False, Static([0.0]))],
                              covariate_names=["x1", "x2"])
+
+    # the array constructor gives the same errors, naming the first bad subject
+    build = DiscreteSurvivalData.from_arrays
+    none, one = [False, False], np.zeros((2, 1))
+    with pytest.raises(InputError, match="no subjects"):
+        build(grid, [], [], np.zeros((0, 1)))
+    with pytest.raises(InputError, match="subject 2: y_index 3 exceeds J=2"):
+        build(grid, [1, 3], none, one)
+    with pytest.raises(InputError, match="subject 1: y_index must be >= 0"):
+        build(grid, [-1, 3], none, one)
+    with pytest.raises(InputError, match="subject b: delta requires y_index >= 1"):
+        build(grid, [1, 0], [False, True], one, ids=["a", "b"])
+    with pytest.raises(InputError, match="subject 2: non-finite covariate"):
+        build(grid, [1, 1], none, [[[0.0], [0.0]], [[0.0], [np.inf]]], firsts=[1, 2])
+    with pytest.raises(InputError, match="covariate_names length"):
+        build(grid, [1, 1], none, one, covariate_names=["x1", "x2"])
+    with pytest.raises(InputError, match="length n"):  # y and X disagree
+        build(grid, [1, 1, 1], [False] * 3, one)
+    for firsts in ([2], [1, 1], [1, 3]):  # epochs must start at 1, rise, fit the grid
+        with pytest.raises(InputError, match="epochs starting at 1"):
+            build(grid, [1, 1], none, np.zeros((len(firsts), 2, 1)), firsts=firsts)
 
 
 def test_default_names_and_covariates_at():
@@ -244,3 +268,97 @@ def test_expand_step_terms_validation():
     with pytest.raises(InputError):
         expand_step_terms(data, 0, [5.0])  # beyond the grid
     assert expand_step_terms(data, 0, []) is data
+
+
+# ---------------------------------------------------------------------------
+# epoch storage against dense (n, J, d) paths
+# ---------------------------------------------------------------------------
+
+# the same examples on every run, so the suite gives the same verdict
+# each time it runs
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _assert_matches_paths(data, ids, y, delta, paths):
+    """``data`` holds the subjects ``ids, y, delta`` with the ``(n, J, d)``
+    covariate ``paths``, through every accessor."""
+    J = data.n_intervals
+    for j in range(1, J + 1):
+        np.testing.assert_array_equal(data.covariates_at(j), paths[:, j - 1])
+    np.testing.assert_array_equal(data.covariate_changes(),
+                                  o.covariate_changes(paths, y))
+    assert [s.id for s in data.subjects] == list(ids)
+    assert [s.y_index for s in data.subjects] == list(y)
+    assert [s.delta for s in data.subjects] == list(delta)
+    for s, path in zip(data.subjects, paths):
+        np.testing.assert_array_equal(
+            np.broadcast_to(s.covariates.values, (J, data.d)), path)
+
+
+@st.composite
+def step_samples(draw):
+    """(data, paths): static covariates with one or two rounds of step
+    terms, thresholds on breakpoints, at 0, at ``t_J``, inside intervals
+    and repeated, and ``y = 0`` subjects."""
+    J = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 3))
+    bp = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=J, max_size=J)))
+    y = np.array(draw(st.lists(st.integers(0, J), min_size=n, max_size=n)))
+    delta = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) & (y > 0)
+    X = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    data = DiscreteSurvivalData.from_arrays(TimeGrid(bp), y, delta, X)
+    paths = np.broadcast_to(X[:, None, :], (n, J, d))
+    candidates = sorted({0.0, *bp.tolist(), *(bp - 0.5).tolist()})
+    for _ in range(draw(st.integers(1, 2))):
+        base = draw(st.integers(0, data.d - 1))
+        thresholds = draw(st.lists(st.sampled_from(candidates), max_size=3))
+        data = expand_step_terms(data, base, thresholds)
+        paths = o.step_paths(paths, bp, base, thresholds)
+    return data, paths
+
+
+@_SETTINGS
+@given(step_samples())
+def test_step_term_epochs_match_the_dense_paths(case):
+    data, paths = case
+    ids = [str(i + 1) for i in range(data.n)]
+    _assert_matches_paths(data, ids, data.y, data.delta, paths)
+    # the records gathered back into a sample give the same sample
+    again = DiscreteSurvivalData(data.grid, data.subjects, data.covariate_names)
+    _assert_matches_paths(again, ids, data.y, data.delta, paths)
+
+
+@st.composite
+def person_period_rows(draw):
+    """(rows, J): shuffled person-period rows whose covariates repeat or
+    change from one interval to the next."""
+    J = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 2))
+    rows = []
+    for i in range(n):
+        last = draw(st.integers(1, J))
+        event = draw(st.booleans())
+        for j in range(1, last + 1):
+            x = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+            rows.append((f"s{n - i}", j, int(event and j == last), x))
+    return draw(st.permutations(rows)), J
+
+
+@_SETTINGS
+@given(person_period_rows())
+def test_person_period_epochs_match_the_dense_paths(tmp_path_factory, case):
+    rows, J = case
+    path = tmp_path_factory.mktemp("pp") / "pp.csv"
+    d = len(rows[0][3])
+    path.write_text("id,interval,event," + ",".join(f"x{k}" for k in range(d)) + "\n"
+                    + "".join(f"{sid},{j},{e}," + ",".join(map(str, x)) + "\n"
+                              for sid, j, e, x in rows))
+    data = read_person_period_csv(str(path))
+    ids, y, delta, paths = o.person_period_paths(rows, max(j for _, j, _, _ in rows))
+    assert data.n_intervals == paths.shape[1]
+    _assert_matches_paths(data, ids, y, delta, paths)

@@ -50,6 +50,9 @@ def test_read_subject_csv_rejects_malformed_files(tmp_path):
                                 "id,time,status\na,1,1\n"))
     with pytest.raises(InputError, match="header row and at least one"):
         read_subject_csv(_write(tmp_path / "f.csv", "id,time,status,x\n"))
+    with pytest.raises(InputError, match=r"duplicate id 'a' \(rows 1 and 3\)"):
+        read_subject_csv(_write(tmp_path / "g.csv",
+                                "id,time,status,x\na,1,1,2\nb,2,0,3\na,3,1,4\n"))
 
 
 def test_build_data_discretizes_when_given_a_grid_or_width(tmp_path):
@@ -117,6 +120,11 @@ def test_read_person_period_csv_rejects_malformed_files(tmp_path):
         read_person_period_csv(_write(tmp_path / "b.csv",
                                       "id,interval,event,z\n"
                                       "a,1,1,1\na,2,1,1\n"))
+    # the first subject the file lists is named; a repeated interval is a gap
+    with pytest.raises(InputError, match="subject 'b' intervals must run"):
+        read_person_period_csv(_write(tmp_path / "e.csv",
+                                      "id,interval,event,z\n"
+                                      "b,1,0,1\na,1,1,1\nb,1,0,2\na,2,0,1\n"))
     with pytest.raises(InputError, match="event must be 0 or 1"):
         read_person_period_csv(_write(tmp_path / "c.csv",
                                       "id,interval,event,z\na,1,2,1\n"))

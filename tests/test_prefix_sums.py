@@ -18,14 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import _oracles as o
-from dsurv import (DiscreteSurvivalData, OddsFit, ProbFit, Static,
+from dsurv import (ConvergenceError, DiscreteSurvivalData, OddsFit, ProbFit, Static,
                    SubjectRecord, TimeGrid, VarianceEstimate,
                    baseline_log_hazards, baseline_log_odds, expand_step_terms,
                    fit_beta, fit_gamma, hessian_gamma, influence_odds,
                    influence_prob, jacobian_beta, odds_curve, prob_curve,
                    score_beta, score_gamma, var_model_based,
                    var_model_based2, var_model_based2_odds,
-                   var_model_based3_odds, var_model_based_odds, var_robust)
+                   var_model_based3_odds, var_model_based_odds, var_robust,
+                   var_robust_odds)
 from dsurv._risksets import RiskSets
 from dsurv.io import SubjectTable, build_data
 from dsurv.prob import _objective
@@ -316,9 +317,11 @@ def test_step_terms_are_summed_once_per_epoch():
     assert [lo for lo, _ in RiskSets(data).epoch_spans()] == [1, 11, 26]
 
 
-def test_original_scale_analysis_memory_is_linear_in_n():
+@pytest.mark.parametrize("steps", [None, [0.5]], ids=["static", "step"])
+def test_original_scale_analysis_memory_is_linear_in_n(steps):
     # one interval per distinct time at n = 2e4: the per-interval form
-    # needs memory quadratic in n (several GB here)
+    # needs memory quadratic in n (several GB here), and so would step
+    # terms held as one covariate row per subject and interval
     n = 20_000
     rng = np.random.default_rng(np.random.SeedSequence([7, n]))
     X = np.column_stack([rng.integers(0, 2, n).astype(float),
@@ -329,16 +332,68 @@ def test_original_scale_analysis_memory_is_linear_in_n():
                          time=np.minimum(t_event, t_cens),
                          status=t_event <= t_cens, covariates=X,
                          names=["treat", "z1", "z2", "z3"])
-    data = build_data(table)
-    assert data.n_intervals > 0.99 * n
+    if steps is None:
+        data = build_data(table)
+        assert data.n_intervals > 0.99 * n
     tracemalloc.start()
     try:
+        if steps is not None:
+            data = expand_step_terms(build_data(table), 0, steps)
+            assert data.n_intervals > 0.99 * n
         pfit = fit_gamma(data)
         fit_beta(data, init=pfit.gamma)
         mb2 = var_model_based2(data, pfit)
         var_robust(data, pfit)
-        prob_curve(data, pfit, x0=np.ones(4), variance=mb2)
+        prob_curve(data, pfit, x0=np.ones(data.d), variance=mb2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+_EXTREME = {"prob": (fit_gamma, "gamma", var_model_based2, var_robust),
+            "odds": (fit_beta, "beta", var_model_based2_odds, var_robust_odds)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("design", ["high", "low", "step"])
+@pytest.mark.parametrize("scale", [1e2, 1e3])
+@pytest.mark.parametrize("model", ["prob", "odds"])
+def test_extreme_linear_predictors_give_a_finite_fit_or_a_clean_error(
+        model, scale, design, monkeypatch):
+    # separation along the first covariate: the subject with its largest
+    # ("high", "step") or smallest ("low") value among those at risk has
+    # the one event of each interval, so the iterates' linear predictors
+    # spread over thousands inside one risk set
+    rng = np.random.default_rng(4)
+    n, J = 60, 8
+    X = rng.normal(size=(n, 2)) * scale
+    first = np.argsort(X[:, 0] if design == "low" else -X[:, 0])[:J]
+    y = np.full(n, J)
+    y[first] = np.arange(1, J + 1)
+    data = DiscreteSurvivalData.from_arrays(TimeGrid(np.arange(1.0, J + 1)), y,
+                                            np.isin(np.arange(n), first), X)
+    if design == "step":
+        data = expand_step_terms(data, 0, [J / 2 + 0.5])
+    coefs = []  # every coefficient vector the fit evaluates
+    aggregates = RiskSets.aggregates
+
+    def recorded(self, coef, *args, **kwargs):
+        coefs.append(np.array(coef))
+        return aggregates(self, coef, *args, **kwargs)
+
+    monkeypatch.setattr(RiskSets, "aggregates", recorded)
+    fit_fn, name, mb2, robust = _EXTREME[model]
+    try:
+        fit = fit_fn(data)
+    except ConvergenceError as exc:
+        fit = None
+        assert np.isfinite(exc.score_norm)
+    spread = max(np.ptp(data.covariates_at(j)[data.y >= j] @ coef)
+                 for coef in coefs for j in range(1, J + 1))
+    assert spread > 745.0
+    if fit is None:
+        return
+    assert np.all(np.isfinite(getattr(fit, name)))
+    for variance in (mb2, robust):
+        assert np.all(np.isfinite(variance(data, fit).covariance))
