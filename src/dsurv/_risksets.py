@@ -22,6 +22,13 @@ epoch) is summed in one pass.  Sums are taken over covariates centred
 at the mean of the epoch's largest risk set; every aggregate the models
 use is location invariant, and ``Aggregates.center`` restores the
 origin where a caller needs it.
+
+Each dataset has one engine (``DiscreteSurvivalData.risk_sets``), which
+every fit, variance, influence row and curve on it shares.  The engine
+keeps its last full (order-2, payload-free) aggregates, keyed by the
+exact coefficients: a Newton step's accepted candidate is the next
+iterate's pass, and a variance or curve at a fit's estimate reads the
+pass the fit ended on.
 """
 
 from __future__ import annotations
@@ -265,10 +272,8 @@ class RiskSets:
                 center = X[:lay.rows].mean(axis=0)
                 Xc = X[:lay.rows] - center
             self._epochs.append((int(lo), int(hi), X, lay, center, Xc))
-
-    def members(self, j: int) -> np.ndarray:
-        """Indices of subjects at risk in interval ``j`` (1-based)."""
-        return self.order[: self.n_at_risk[j - 1]]
+        # (coefficient bytes, squares, Aggregates) of the last full pass
+        self._last = None
 
     def interval(self, j: int, coef: np.ndarray):
         """Risk set of interval ``j``: (member indices, X, D, eta).
@@ -277,7 +282,7 @@ class RiskSets:
         The indices and ``X`` are views; empty risk sets yield empty
         arrays.
         """
-        idx = self.members(j)
+        idx = self.order[: self.n_at_risk[j - 1]]
         m = idx.size
         X = self._epochs[self._epoch_of[j - 1]][2][:m]
         D = (self._y[:m] == j) & self._delta[:m]
@@ -309,7 +314,8 @@ class RiskSets:
         ``squares`` that of the ``w^2``-weighted ones (``None``: none).
         ``payload`` is an ``(n, p)`` per-subject array, or one such array
         for each epoch of ``epoch_spans`` stacked ``(epochs, n, p)``,
-        whose ``w``-weighted sums fill ``Z, Zf, Ze``.
+        whose ``w``-weighted sums fill ``Z, Zf, Ze``.  A full pass
+        (``order=2``, no payload) is kept for ``full``.
         """
         coef = np.asarray(coef, dtype=float)
         parts = []
@@ -330,8 +336,38 @@ class RiskSets:
         ks = self.event_intervals
         merged = {key: np.concatenate([p[key] for p in parts])
                   for key in parts[0]}
-        return Aggregates(k=ks, T=self.n_events[ks - 1].astype(float),
-                          m=self.n_at_risk[ks - 1].astype(float), **merged)
+        agg = Aggregates(k=ks, T=self.n_events[ks - 1].astype(float),
+                         m=self.n_at_risk[ks - 1].astype(float), **merged)
+        if order == 2 and payload is None:
+            self._last = (coef.tobytes(), squares, agg)
+        return agg
+
+    def full(self, coef, squares: int | None = None) -> Aggregates:
+        """Order-2 aggregates at ``coef`` with ``w^2`` sums through
+        ``squares``: the last full pass when it was at these exact
+        coefficients and holds those sums, else a new pass.  Callers
+        share the returned object and must not change it."""
+        coef = np.asarray(coef, dtype=float)
+        if self._last is not None:
+            key, have, agg = self._last
+            if key == coef.tobytes() and (squares is None or (
+                    have is not None and have >= squares)):
+                return agg
+        return self.aggregates(coef, squares=squares)
+
+    def s0_change(self, coef, step):
+        """``S0(coef + step) / S0(coef) - 1`` for every event interval,
+        summed as ``sum_i w_i expm1(X_i' step) / S0`` over the risk set
+        at the weights of ``coef``, so it keeps full relative precision
+        however small the step.  ``None`` unless ``|X_i' step| <= 1``
+        for every centred row."""
+        coef, step = np.asarray(coef, dtype=float), np.asarray(step, dtype=float)
+        live = [(lay, Xc, Xc @ step) for _, _, lay, _, Xc, _ in self._live_epochs()]
+        if any(np.any(np.abs(move) > 1.0) for *_, move in live):
+            return None
+        sums = [_weighted_sums(lay, Xc, Xc @ coef, 0, None, np.expm1(move)[:, None])
+                for lay, Xc, move in live]
+        return np.concatenate([part["Z"][:, 0] / part["S0"] for part in sums])
 
     def set_sums(self, values):
         """Unweighted sums of a per-subject ``(n, p)`` array (or one per

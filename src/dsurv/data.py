@@ -159,7 +159,10 @@ class DiscreteSurvivalData:
     Notes
     -----
     Construction checks that all subjects share the covariate dimension,
-    that ``y_index <= J`` and that all entries are finite.
+    that ``y_index <= J`` and that all entries are finite.  A sample is
+    immutable after construction: its risk-set engine (``risk_sets``) is
+    built once and shared by every fit, variance and curve computed on
+    it, so changing an array in place would leave that engine stale.
     """
 
     def __init__(self, grid: TimeGrid, subjects: Sequence[SubjectRecord],
@@ -253,6 +256,13 @@ class DiscreteSurvivalData:
         return DiscreteSurvivalData.from_arrays(
             self.grid, self.y, self.delta, self.epochs - x0, self.firsts, self.ids,
             self.covariate_names, self.warnings)
+
+    @functools.cached_property
+    def risk_sets(self):
+        """The risk-set engine (``_risksets.RiskSets``) of this sample,
+        built on first access."""
+        from ._risksets import RiskSets  # _risksets imports this module
+        return RiskSets(self)
 
     @functools.cached_property
     def subjects(self) -> list:

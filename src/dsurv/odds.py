@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import ConvergenceError, InputError, SingularMatrixError
 from .prob import (ProbInfluence, VarianceEstimate, _col, _mean_terms, _outer,
@@ -183,7 +182,7 @@ OddsVarianceEstimate = VarianceEstimate
 
 def score_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    return _mean_terms(data, beta, _with_mixed(score_odds_terms), order=1)
+    return _mean_terms(data, beta, _with_mixed(score_odds_terms))
 
 
 def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
@@ -195,28 +194,6 @@ def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     return _mean_terms(data, beta, _with_mixed(jacobian_odds_terms))
 
 
-def _raw_score(rs, beta):
-    return score_odds_terms(_mixed(rs.aggregates(beta, order=1))).sum(axis=0)
-
-
-def _raw_jacobian(rs, beta):
-    return jacobian_odds_terms(_mixed(rs.aggregates(beta))).sum(axis=0)
-
-
-def _fd_jacobian_raw(rs, beta):
-    """Central-difference Jacobian of the raw sample score (fallback)."""
-    d = beta.size
-    out = np.empty((d, d))
-    for k in range(d):
-        h = 1e-6 * (1.0 + abs(beta[k]))
-        up = beta.copy()
-        up[k] += h
-        dn = beta.copy()
-        dn[k] -= h
-        out[:, k] = (_raw_score(rs, dn) - _raw_score(rs, up)) / (2.0 * h)
-    return out
-
-
 def _baselines(a, J):
     out = np.full(J, -np.inf)
     out[a.k - 1] = np.where(a.T < a.m, np.log(a.T) - a.log_s0d, np.inf)
@@ -225,59 +202,41 @@ def _baselines(a, J):
 
 def baseline_log_odds(data: DiscreteSurvivalData, beta) -> np.ndarray:
     """Profiled baselines ``beta_0j = log T_j - log sum_i R[j,i](1-D[j,i]) e^{X_i' beta}``."""
-    a = RiskSets(data).aggregates(np.asarray(beta, dtype=float), order=0)
-    return _baselines(a, data.n_intervals)
+    return _baselines(data.risk_sets.full(beta), data.n_intervals)
 
 
 def _newton(rs, n, start, tol, max_iter):
+    """Newton iterates from ``start``, backtracking on the residual
+    2-norm.  Each candidate costs one full pass; the accepted one's gives
+    the next step's score and Jacobian."""
     beta = np.asarray(start, dtype=float).copy()
-    score = _raw_score(rs, beta)
-    merit = float(np.linalg.norm(score))
-    score_norm = float(np.max(np.abs(score))) / n
-    converged = score_norm <= tol
-    it = 0
-    for it in range(1, max_iter + 1):
-        if converged:
-            it -= 1
-            break
-        jac = _raw_jacobian(rs, beta)
-        try:
-            step = _solve_spd(jac, score, "fit_beta")
-        except SingularMatrixError:
-            if score_norm <= tol:
-                break
-            raise
-        hit = _backtrack(rs, beta, step, merit)
-        if hit is None:
-            step = _solve_spd(_fd_jacobian_raw(rs, beta), score, "fit_beta[fd]")
-            hit = _backtrack(rs, beta, step, merit)
-        if hit is None:
-            raise ConvergenceError("fit_beta: line search stalled",
-                                   iterations=it, score_norm=score_norm)
-        beta, score, merit = hit
+    for it in range(max_iter + 1):
+        a = _mixed(rs.full(beta))
+        score = score_odds_terms(a).sum(axis=0)
         score_norm = float(np.max(np.abs(score))) / n
-        converged = score_norm <= tol
-        if not converged and np.max(np.abs(beta)) > 50.0:
+        if score_norm <= tol:
+            return beta, score_norm, it
+        if it and np.max(np.abs(beta)) > 50.0:
             raise ConvergenceError(
                 "fit_beta: divergence (monotone likelihood suspected)",
                 iterations=it, score_norm=score_norm)
-    if not converged:
-        raise ConvergenceError(
-            f"fit_beta: no convergence in {max_iter} iterations",
-            iterations=max_iter, score_norm=score_norm)
-    return beta, score_norm, it
-
-
-def _backtrack(rs, beta, step, merit):
-    t = 1.0
-    while t >= 2.0 ** -40:
-        cand = beta + t * step
-        cand_score = _raw_score(rs, cand)
-        cand_merit = float(np.linalg.norm(cand_score))
-        if cand_merit < merit:
-            return cand, cand_score, cand_merit
-        t /= 2.0
-    return None
+        if it == max_iter:
+            raise ConvergenceError(
+                f"fit_beta: no convergence in {max_iter} iterations",
+                iterations=max_iter, score_norm=score_norm)
+        step = _solve_spd(jacobian_odds_terms(a).sum(axis=0), score, "fit_beta")
+        merit = float(np.linalg.norm(score))
+        t = 1.0
+        while t >= 2.0 ** -40:
+            cand = beta + t * step
+            cand_score = score_odds_terms(_mixed(rs.full(cand))).sum(axis=0)
+            if np.linalg.norm(cand_score) < merit:
+                beta = cand
+                break
+            t /= 2.0
+        else:
+            raise ConvergenceError("fit_beta: line search stalled",
+                                   iterations=it + 1, score_norm=score_norm)
 
 
 def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
@@ -285,9 +244,8 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     """Newton solve of the pooled odds estimating equation.
 
     Steps use the sample Jacobian analog ``H_hat`` with backtracking on
-    the residual 2-norm, falling back to a finite-difference Jacobian if
-    a step stalls; convergence requires the max-abs 1/n-scaled score
-    component to fall below ``tol``.  The default start is the
+    the residual 2-norm; convergence requires the max-abs 1/n-scaled
+    score component to fall below ``tol``.  The default start is the
     hazard-probability estimate (the two roots are typically close);
     pass ``init`` to override, or ``multistart=True`` to also solve from
     zero and warn if the roots disagree.
@@ -305,7 +263,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     """
     if data.d < 1:
         raise InputError("no covariates to fit")
-    rs = RiskSets(data)
+    rs = data.risk_sets
     if rs.event_intervals.size == 0:
         raise InputError("dataset contains no events")
     mixed = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
@@ -356,7 +314,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
         warnings.append(
             f"{n_all_events} risk set(s) consist entirely of events; "
             "their baseline log-odds are +inf and they contribute nothing to the fit")
-    a = rs.aggregates(beta)
+    a = rs.full(beta)
     beta0 = _baselines(a, data.n_intervals)
     jac = jacobian_odds_terms(_mixed(a)).sum(axis=0) / n
     return OddsFit(beta=beta, beta0=beta0, jacobian=jac, score_norm=score_norm,
@@ -371,7 +329,7 @@ def _influence_rows_odds(rs, beta):
     """Rows ``g_i``: over the mixed risk sets up to ``y_i``, subject i's
     event-free terms ``-(w_i/S0)[T (X_i - me) - (Tw/S0d) tau]`` as one
     cumulative sum, plus its event term ``(S0d/S0)(X_i - me) - (w_i/S0) tau``."""
-    a = rs.aggregates(beta, order=1)
+    a = rs.full(beta)
     mixed = a.T < a.m
     me = a.me
     tau = score_odds_terms(a)
@@ -395,7 +353,7 @@ def _influence_rows_odds(rs, beta):
 
 def influence_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsInfluence:
     """Per-subject influence sums ``g_i`` entering the robust sandwich."""
-    return OddsInfluence(total=_influence_rows_odds(RiskSets(data), fit.beta))
+    return OddsInfluence(total=_influence_rows_odds(data.risk_sets, fit.beta))
 
 
 def var_robust_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import ConvergenceError, InputError, SingularMatrixError
 
@@ -88,7 +87,7 @@ class _PersonPeriod:
     """
 
     def __init__(self, data):
-        rs = self.rs = RiskSets(data)
+        rs = self.rs = data.risk_sets
         self.live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
         js = np.flatnonzero(self.live) + 1
         self.K = js.size

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import ConvergenceError, InputError, SingularMatrixError
 
@@ -105,9 +104,22 @@ def _symmetric(terms):
 
 
 def _objective(rs, gamma):
-    """Log partial likelihood ``sum_j [sum_{D_j} eta - T_j log S0_j]``."""
-    a = rs.aggregates(gamma, order=0)
+    """Log partial likelihood ``sum_j [sum_{D_j} eta - T_j log S0_j]``,
+    from the full pass at ``gamma``."""
+    a = rs.full(gamma)
     return float(np.sum(a.SD1 @ gamma - a.T * (np.log(a.S0) + a.shift)))
+
+
+def _gain(rs, a, gamma, step):
+    """Objective change from ``gamma`` (aggregates ``a``) to
+    ``gamma + step``: ``sum_j [SD1_j' step - T_j log1p(Z_j / S0_j)]``
+    with ``Z_j / S0_j`` the relative change of ``S0_j``, summed from the
+    step itself, so it resolves gains below the objective's rounding.
+    ``-inf`` where ``RiskSets.s0_change`` does not trust its sums."""
+    change = rs.s0_change(gamma, step)
+    if change is None:
+        return -np.inf
+    return float(np.sum(a.SD1 @ step - a.T * np.log1p(change)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +191,14 @@ class VarianceEstimate:
 # score / hessian / fitting
 # ---------------------------------------------------------------------------
 
-def _mean_terms(data, coef, terms, **sums):
+def _mean_terms(data, coef, terms, squares=None):
     """``1/n`` times the total of ``terms`` over the event intervals."""
-    a = RiskSets(data).aggregates(np.asarray(coef, dtype=float), **sums)
-    return terms(a).sum(axis=0) / data.n
+    return terms(data.risk_sets.full(coef, squares)).sum(axis=0) / data.n
 
 
 def score_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    return _mean_terms(data, gamma, score_terms, order=1)
+    return _mean_terms(data, gamma, score_terms)
 
 
 def hessian_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
@@ -208,8 +219,7 @@ def _solve_spd(mat, vec_or_mat, context):
 
 def baseline_log_hazards(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """Profiled baselines ``gamma_0j = log T_j - log sum_i R[j,i] e^{X_i' gamma}``."""
-    a = RiskSets(data).aggregates(np.asarray(gamma, dtype=float), order=0)
-    return _baselines(a, data.n_intervals)
+    return _baselines(data.risk_sets.full(gamma), data.n_intervals)
 
 
 def _baselines(a, J):
@@ -224,7 +234,12 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
 
     Starts at ``gamma = 0`` and performs Newton steps with step-halving
     on the concave objective; convergence requires the max-abs
-    1/n-scaled score component to fall below ``tol``.
+    1/n-scaled score component to fall below ``tol``.  Each candidate
+    costs one full pass, which gives its objective and, once accepted,
+    the next step's score and Hessian.  A candidate whose objective does
+    not exceed the current one is still taken when its gain, summed from
+    the step (``_gain``), is positive: near the optimum the gain falls
+    below the rounding of the objective itself.
 
     Raises
     ------
@@ -240,58 +255,38 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
         raise InputError("no covariates to fit")
     n = data.n
     gamma = np.zeros(data.d)
-    rs = RiskSets(data)
+    rs = data.risk_sets
     if rs.event_intervals.size == 0:
         raise InputError("dataset contains no events")
 
-    score_norm = np.inf
-    converged = False
-    it = 0
     obj = _objective(rs, gamma)
-    for it in range(1, max_iter + 1):
-        a = rs.aggregates(gamma)
+    for it in range(max_iter + 1):
+        a = rs.full(gamma)  # the pass that gave obj
         score = score_terms(a).sum(axis=0)
-        hess = hessian_terms(a).sum(axis=0)
         score_norm = float(np.max(np.abs(score))) / n
         if score_norm <= tol:
-            converged = True
-            it -= 1
             break
-        step = _solve_spd(hess, score, "fit_gamma")
+        if it == max_iter:
+            raise ConvergenceError(
+                f"fit_gamma: no convergence in {max_iter} iterations",
+                iterations=max_iter, score_norm=score_norm)
+        step = _solve_spd(hessian_terms(a).sum(axis=0), score, "fit_gamma")
         t = 1.0
         while t >= 2.0 ** -40:
             cand = gamma + t * step
             cand_obj = _objective(rs, cand)
-            if cand_obj > obj:
+            if cand_obj > obj or _gain(rs, a, gamma, t * step) > 0.0:
                 gamma, obj = cand, cand_obj
                 break
             t /= 2.0
         else:
-            # near the optimum the quadratic objective gain can drop below
-            # the rounding noise of the objective while the score is still
-            # slightly above tol; fall back to a plain Newton step as long
-            # as it shrinks the score
-            cand = gamma + step
-            cand_score = score_terms(rs.aggregates(cand, order=1)).sum(axis=0)
-            if float(np.max(np.abs(cand_score))) / n < score_norm:
-                gamma = cand
-                obj = _objective(rs, cand)
-            else:
-                raise ConvergenceError("fit_gamma: line search stalled",
-                                       iterations=it, score_norm=score_norm)
+            raise ConvergenceError("fit_gamma: line search stalled",
+                                   iterations=it + 1, score_norm=score_norm)
         if np.max(np.abs(gamma)) > 50.0:
             raise ConvergenceError(
                 "fit_gamma: divergence (monotone likelihood suspected)",
-                iterations=it, score_norm=score_norm)
-    if not converged:
-        score = score_terms(rs.aggregates(gamma, order=1)).sum(axis=0)
-        score_norm = float(np.max(np.abs(score))) / n
-        if score_norm > tol:
-            raise ConvergenceError(
-                f"fit_gamma: no convergence in {max_iter} iterations",
-                iterations=max_iter, score_norm=score_norm)
+                iterations=it + 1, score_norm=score_norm)
 
-    a = rs.aggregates(gamma)
     hess = hessian_terms(a).sum(axis=0) / n
     gamma0 = _baselines(a, data.n_intervals)
     warnings = []
@@ -315,7 +310,7 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
 def _influence_rows(rs, gamma):
     """Rows ``h_i = sum_{j <= y_i} (D_ij - T_j w_ij / S0_j)(X_ij - xbar_j)``:
     the event term at ``y_i`` plus one cumulative sum over intervals."""
-    a = rs.aggregates(gamma, order=1)
+    a = rs.full(gamma)
     xbar = _xbar(a)
     ones = np.ones(a.T.size)
     rows = rs.subject_sums(gamma, xbar, a=-ones,
@@ -325,7 +320,7 @@ def _influence_rows(rs, gamma):
 
 def influence_prob(data: DiscreteSurvivalData, fit: ProbFit) -> ProbInfluence:
     """Per-subject influence sums ``h_i`` entering the robust sandwich."""
-    return ProbInfluence(total=_influence_rows(RiskSets(data), fit.gamma))
+    return ProbInfluence(total=_influence_rows(data.risk_sets, fit.gamma))
 
 
 def _sandwich(bread, meat, n, kind, transpose_right=False):

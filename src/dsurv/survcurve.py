@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._risksets import RiskSets
 from .data import DiscreteSurvivalData
 from .errors import InputError
 from .odds import OddsFit, _influence_rows_odds, var_model_based2_odds
@@ -248,7 +247,7 @@ def prob_curve(data: DiscreteSurvivalData, fit: ProbFit, x0=None,
     survival = np.cumprod(1.0 - p0)
     cumhaz = np.cumsum(p0)
 
-    rs = RiskSets(data)
+    rs = data.risk_sets
     k = rs.event_intervals
     T = rs.n_events[k - 1].astype(float)
     pk = p0[k - 1]
@@ -318,7 +317,7 @@ def prob_cumhaz_alt(data: DiscreteSurvivalData, fit: ProbFit, x0=None,
         cov = _solve_spd(fit.hessian, np.eye(data.d), "prob_cumhaz_alt") / n
     else:
         cov = variance.covariance
-    a = RiskSets(data).aggregates(fit.gamma, order=1)
+    a = data.risk_sets.full(fit.gamma)
     pk = p0[a.k - 1]
     every = np.ones(a.k.size, dtype=bool)
     first = _cumulative(a.k, every, pk ** 2 / a.T, J)
@@ -335,7 +334,7 @@ def hazard_variation_terms(data: DiscreteSurvivalData, fit: ProbFit) -> np.ndarr
     form); they differ by ``sum_i R p_i^2 / n``, which grows with tied
     events.
     """
-    a = RiskSets(data).aggregates(fit.gamma, order=0, squares=0)
+    a = data.risk_sets.full(fit.gamma, squares=0)
     g = fit.gamma0[a.k - 1]
     total = np.exp(g + a.log_s0)
     squares = np.exp(2.0 * (g + a.shift + a.offset) + np.log(a.Q0))
@@ -365,7 +364,7 @@ def odds_curve(data: DiscreteSurvivalData, fit: OddsFit, x0=None,
     survival = np.cumprod(1.0 - q)
     cumhaz = np.cumsum(q)
 
-    rs = RiskSets(data)
+    rs = data.risk_sets
     k = rs.event_intervals
     T = rs.n_events[k - 1].astype(float)
     keep = T < rs.n_at_risk[k - 1]
