@@ -9,12 +9,21 @@ per event interval (the reverse-cumulative-sum recipe of Cox-model
 software).  The rows are cut into blocks at those boundaries, each block
 is summed once with ``np.add.reduceat`` and the block sums are
 accumulated: a call costs O(n d^2) time and O(n d + K d^2) memory for K
-event intervals, never O(n d^2) memory.
+event intervals, never O(n d^2) memory.  One moment pass writes
+``[w | w X]`` into one buffer and block-sums it with one call into one
+``(blocks, width)`` array; a payload's sums ``w Z`` and the products
+``(w X_a) X`` follow into the same array's columns, the products in
+groups of ``a`` whose buffer holds at most ``_TILE`` entries (all
+``d^2`` columns in one call for a small dataset, one ``a`` per call for
+a large one).  Each column is summed on its own, so every grouping
+gives the same bits.
 
 Exponential weights are shifted by the largest linear predictor among
 the rows summed so far, which for a risk set is the per-interval
 shift of the literal form; the accumulation rescales in bands of
-``_BAND`` so no sum underflows however far ``eta`` spreads.
+``_BAND`` so no sum underflows however far ``eta`` spreads.  When the
+shift rises by less than ``_BAND`` over the epoch, the usual case, the
+accumulation is one cumulative sum with no band loop.
 
 Time-varying covariates are piecewise constant in ``j``.  Each run of
 intervals over which no subject at risk changes its covariates (an
@@ -59,14 +68,23 @@ def _scaled_cumsum(log_scale, values):
     ``log_scale`` may hold ``-inf`` for zero terms.
     """
     top = np.maximum.accumulate(log_scale)
-    out = np.zeros_like(values)
     live = np.flatnonzero(np.isfinite(top))
     if live.size == 0:
-        return out, top
+        return np.zeros_like(values), top
     first = live[0]
+    lead = (slice(None),) + (None,) * (values.ndim - 1)
+    if np.floor((top[-1] - top[first]) / _BAND) == 0:
+        # one band, the usual case: no rescaling between bands
+        ref = top[first]
+        out = np.cumsum(np.exp(log_scale[first:] - ref)[lead] * values[first:],
+                        axis=0)
+        out *= np.exp(ref - top[first:])[lead]
+        if first:
+            out = np.concatenate([np.zeros_like(values[:first]), out])
+        return out, top
+    out = np.zeros_like(values)
     band = np.floor((top[first:] - top[first]) / _BAND)
     cuts = np.flatnonzero(np.diff(band)) + first + 1
-    lead = (slice(None),) + (None,) * (values.ndim - 1)
     carry, prev = None, None
     for lo, hi in zip(np.r_[first, cuts], np.r_[cuts, top.size]):
         # the band's lowest running maximum: the sums that need no
@@ -134,10 +152,24 @@ class Aggregates:
     me: np.ndarray = None
 
     def subset(self, mask):
-        """The aggregates of the event intervals selected by ``mask``."""
+        """The aggregates of the event intervals selected by ``mask``
+        (``self`` when it selects them all)."""
+        if np.all(mask):
+            return self
         return Aggregates(**{f.name: None if getattr(self, f.name) is None
                              else getattr(self, f.name)[mask]
                              for f in fields(self)})
+
+    @property
+    def mixed(self):
+        """The aggregates of the risk sets holding both events and
+        event-free members, split once per object."""
+        split = self.__dict__.get("_mixed")
+        if split is None:
+            split = self.subset(self.T < self.m)
+            if split is not self:  # no reference cycle to keep it alive
+                self._mixed = split
+        return split
 
 
 # names of the w-weighted and w^2-weighted sums by set, in the order
@@ -164,6 +196,8 @@ class _Layout:
         self.risk = np.searchsorted(bounds, r) - 1    # prefix through block
         self.free = np.searchsorted(bounds, f) - 1    # -1: no event-free member
         self.events = self.free + 1                   # the block [f, r)
+        self.has_free = self.free >= 0
+        self.at_free = np.maximum(self.free, 0)
 
     def block_sums(self, values):
         return np.add.reduceat(values, self.starts, axis=0)
@@ -172,15 +206,14 @@ class _Layout:
         """Risk-set, event-free and event sums from block sums and their
         prefix sums, rescaled from the blocks' scales to ``scale``."""
         risk = prefix[self.risk]
-        has_free = self.free >= 0
-        free = prefix[np.maximum(self.free, 0)]
+        free = prefix[self.at_free]
         events = blocks[self.events]
         lead = (slice(None),) + (None,) * (prefix.ndim - 1)
         if top is None:
-            free = np.where(has_free[lead], free, 0.0)
+            free = np.where(self.has_free[lead], free, 0.0)
         else:
-            f_fac = np.where(has_free, np.exp(top[np.maximum(self.free, 0)]
-                                              - scale), 0.0)
+            f_fac = np.where(self.has_free, np.exp(top[self.at_free] - scale),
+                             0.0)
             free = free * f_fac[lead]
             events = events * np.exp(block_top[self.events] - scale)[lead]
         return risk, free, events
@@ -194,33 +227,53 @@ def _weighted_sums(lay, Xc, eta, order, squares, Z):
     out = {}
 
     def moments(weight, max_order, payload, log_scale, names):
-        # block sums of each moment, one (n, <= d) product at a time so
-        # that no (n, d, d) array is made
-        groups = [(names[0], (), lay.block_sums(weight)[:, None])]
+        # block sums of [w | w X | w Z | w X X'] in one (blocks, width)
+        # array: [w | w X] from one (rows, 1 + d) buffer, a payload's on
+        # its own (no buffer is wider than X or the payload), the
+        # products (w X_a) X in groups of a whose buffer holds at most
+        # _TILE entries, so that no (n, d, d) array is made
+        rows = lay.rows
+        lin = 1 + d if max_order >= 1 else 1
+        head = lin + (0 if payload is None else payload.shape[1])
+        width = head + (d * d if max_order >= 2 else 0)
+        blocks = np.empty((lay.starts.size, width))
+        buf = np.empty((rows, lin))
+        buf[:, 0] = weight
         if max_order >= 1:
-            groups.append((names[1], (d,), lay.block_sums(weight[:, None] * Xc)))
+            np.multiply(weight[:, None], Xc, out=buf[:, 1:])
+        np.add.reduceat(buf, lay.starts, axis=0, out=blocks[:, :lin])
+        del buf
         if payload is not None:
-            groups.append((names["Z"], payload.shape[1:],
-                           lay.block_sums(weight[:, None] * payload)))
+            np.add.reduceat(weight[:, None] * payload, lay.starts, axis=0,
+                            out=blocks[:, lin:head])
         if max_order >= 2:
-            groups.append((names[2], (d, d), np.hstack(
-                [lay.block_sums((weight * Xc[:, a])[:, None] * Xc)
-                 for a in range(d)])))
-        blocks = np.hstack([g for *_, g in groups])
+            per = max(1, min(d, _TILE // max(rows * d, 1)))
+            prod = np.empty((rows, per, d))
+            flat = prod.reshape(rows, per * d)
+            for a in range(0, d, per):
+                g = min(per, d - a)
+                wx = weight[:, None] * Xc[:, a:a + g]
+                np.multiply(wx[:, :, None], Xc[:, None, :], out=prod[:, :g])
+                np.add.reduceat(flat[:, :g * d], lay.starts, axis=0,
+                                out=blocks[:, head + a * d:head + (a + g) * d])
         prefix, top = _scaled_cumsum(log_scale, blocks)
         scale = top[lay.risk]
-        cuts = np.cumsum([g.shape[1] for *_, g in groups])[:-1]
-        sets = [np.split(arr, cuts, axis=1)
-                for arr in lay.read(prefix, blocks, top, log_scale, scale)]
-        for i, (set_names, shape, _) in enumerate(groups):
-            for name, parts in zip(set_names, sets):
-                if name is not None:
-                    out[name] = parts[i].reshape((-1,) + shape)
+        groups = [(names[0], slice(0, 1), ())]
+        if max_order >= 1:
+            groups.append((names[1], slice(1, lin), (d,)))
+        if payload is not None:
+            groups.append((names["Z"], slice(lin, head), payload.shape[1:]))
+        if max_order >= 2:
+            groups.append((names[2], slice(head, width), (d, d)))
+        for at, arr in enumerate(lay.read(prefix, blocks, top, log_scale,
+                                          scale)):
+            for set_names, cols, shape in groups:
+                if set_names[at] is not None:
+                    out[set_names[at]] = arr[:, cols].reshape((-1,) + shape)
         return prefix, top, scale
 
     prefix, top, scale = moments(w, order, Z, blkmax, _W_NAMES)
-    has_free = lay.free >= 0
-    at_free = np.maximum(lay.free, 0)
+    has_free, at_free = lay.has_free, lay.at_free
     out["shift"] = scale
     out["log_s0"] = np.log(out["S0"]) + scale
     with np.errstate(divide="ignore"):
@@ -334,8 +387,8 @@ class RiskSets:
         if not parts:
             return _empty_aggregates(self.d, order, squares, payload)
         ks = self.event_intervals
-        merged = {key: np.concatenate([p[key] for p in parts])
-                  for key in parts[0]}
+        merged = parts[0] if len(parts) == 1 else {
+            key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
         agg = Aggregates(k=ks, T=self.n_events[ks - 1].astype(float),
                          m=self.n_at_risk[ks - 1].astype(float), **merged)
         if order == 2 and payload is None:

@@ -131,7 +131,9 @@ def _apply_tdc(data, spec_str):
         col, raw = spec_str.split(":", 1)
         thresholds = [float(v) for v in raw.split(",") if v]
     except ValueError:
-        raise InputError(f"--tdc expects COL:T1,T2,... (got '{spec_str}')") from None
+        thresholds = []
+    if not thresholds:
+        raise InputError(f"--tdc expects COL:T1,T2,... (got '{spec_str}')")
     if col not in data.covariate_names:
         raise InputError(f"--tdc column '{col}' not in {data.covariate_names}")
     return expand_step_terms(data, data.covariate_names.index(col), thresholds)
@@ -151,6 +153,10 @@ def _variance_kinds(args, model):
 
 
 def cmd_fit(args):
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be a positive finite number (got {args.tol})")
+    if args.max_iter < 1:
+        raise InputError(f"--max-iter must be at least 1 (got {args.max_iter})")
     data = _load_data(args)
     kinds = _variance_kinds(args, args.model)
     x0 = None

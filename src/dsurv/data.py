@@ -393,7 +393,7 @@ def expand_step_terms(data: DiscreteSurvivalData, base_column: int,
         return data
     bp = data.grid.breakpoints
     for t in thresholds:
-        if t < 0 or t > bp[-1]:
+        if not (0 <= t <= bp[-1]):  # false for NaN
             raise InputError(f"threshold {t} outside the grid range")
     # the term of threshold t is on from the first interval with t_j > t
     on = np.searchsorted(bp, thresholds, side="right") + 1

@@ -63,13 +63,9 @@ __all__ = [
 # Every weight ratio carries equally many exponential factors above and
 # below the line, so the aggregates' shift cancels exactly.
 
-def _mixed(a):
-    return a.subset(a.T < a.m)
-
-
 def _with_mixed(terms):
     """Total of ``terms`` over the mixed risk sets."""
-    return lambda a: terms(_mixed(a))
+    return lambda a: terms(a.mixed)
 
 
 def score_odds_terms(a):
@@ -211,7 +207,7 @@ def _newton(rs, n, start, tol, max_iter):
     the next step's score and Jacobian."""
     beta = np.asarray(start, dtype=float).copy()
     for it in range(max_iter + 1):
-        a = _mixed(rs.full(beta))
+        a = rs.full(beta).mixed
         score = score_odds_terms(a).sum(axis=0)
         score_norm = float(np.max(np.abs(score))) / n
         if score_norm <= tol:
@@ -229,7 +225,7 @@ def _newton(rs, n, start, tol, max_iter):
         t = 1.0
         while t >= 2.0 ** -40:
             cand = beta + t * step
-            cand_score = score_odds_terms(_mixed(rs.full(cand))).sum(axis=0)
+            cand_score = score_odds_terms(rs.full(cand).mixed).sum(axis=0)
             if np.linalg.norm(cand_score) < merit:
                 beta = cand
                 break
@@ -316,7 +312,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
             "their baseline log-odds are +inf and they contribute nothing to the fit")
     a = rs.full(beta)
     beta0 = _baselines(a, data.n_intervals)
-    jac = jacobian_odds_terms(_mixed(a)).sum(axis=0) / n
+    jac = jacobian_odds_terms(a.mixed).sum(axis=0) / n
     return OddsFit(beta=beta, beta0=beta0, jacobian=jac, score_norm=score_norm,
                    iterations=iterations, init=label, n=n, warnings=warnings)
 

@@ -300,8 +300,6 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
         while t >= 2.0 ** -40:
             cand0, candb = b0 + t * db0, beta + t * dbeta
             cand = pp.evaluate(cand0, candb)
-            if t == 1.0:
-                newton = cand
             # a gain below the log likelihood's rounding is resolved
             # from the step itself
             if (cand.loglik > cur.loglik
@@ -310,15 +308,8 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
                 break
             t /= 2.0
         else:
-            # near the optimum the quadratic gain can drop below the
-            # log-likelihood's rounding noise while the score is still a
-            # little above tol; accept a plain Newton step if it shrinks
-            # the score
-            if newton.score_norm(n) < score_norm:
-                b0, beta, cur = b0 + db0, beta + dbeta, newton
-            else:
-                raise ConvergenceError("fit_plogit: line search stalled",
-                                       iterations=it, score_norm=score_norm)
+            raise ConvergenceError("fit_plogit: line search stalled",
+                                   iterations=it, score_norm=score_norm)
         if max(np.max(np.abs(beta)), np.max(np.abs(b0))) > 50.0:
             raise ConvergenceError(
                 "fit_plogit: divergence (separation suspected)",

@@ -235,6 +235,38 @@ def test_malformed_numeric_options_fail_with_input_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["prob", "odds", "plogit"])
+@pytest.mark.parametrize("options, message", [
+    (["--tdc", "x1:nan"], "threshold nan outside the grid range"),
+    (["--tdc", "x1:1,inf"], "threshold inf outside the grid range"),
+    (["--tdc", "x1:"], "--tdc expects COL:T1,T2,... (got 'x1:')"),
+    (["--tdc", "x1:,"], "--tdc expects COL:T1,T2,... (got 'x1:,')"),
+    (["--tol", "-1"], "--tol must be a positive finite number (got -1.0)"),
+    (["--tol", "0"], "--tol must be a positive finite number (got 0.0)"),
+    (["--tol", "nan"], "--tol must be a positive finite number (got nan)"),
+    (["--tol", "inf"], "--tol must be a positive finite number (got inf)"),
+    (["--max-iter", "0"], "--max-iter must be at least 1 (got 0)"),
+    (["--max-iter", "-2"], "--max-iter must be at least 1 (got -2)"),
+], ids=["tdc-nan", "tdc-inf", "tdc-empty", "tdc-comma", "tol-negative",
+        "tol-zero", "tol-nan", "tol-inf", "max-iter-zero", "max-iter-negative"])
+def test_bad_fit_settings_fail_with_input_error(tmp_path, capsys, model,
+                                                options, message):
+    assert main(["fit", "--model", model, "--data", _subject_csv(tmp_path),
+                 *options]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: input: {message}\n"
+
+
+def test_the_smallest_valid_iteration_budget_runs(tmp_path, capsys):
+    # one Newton step from zero does not reach the default tolerance:
+    # the budget is spent, which is a convergence failure, not bad input
+    assert main(["fit", "--model", "prob", "--data", _subject_csv(tmp_path),
+                 "--max-iter", "1"]) == 2
+    assert "no convergence in 1 iterations" in capsys.readouterr().err
+    assert main(["fit", "--model", "prob", "--data", _subject_csv(tmp_path),
+                 "--max-iter", "1", "--tol", "1e300"]) == 0
+
+
 def _scenario_file(tmp_path, name, seed):
     path = tmp_path / name
     path.write_text(json.dumps({

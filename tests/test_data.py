@@ -270,6 +270,15 @@ def test_expand_step_terms_validation():
     assert expand_step_terms(data, 0, []) is data
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_expand_step_terms_rejects_non_finite_thresholds(threshold):
+    # every comparison with NaN is false, so a range check written as
+    # ``t < 0 or t > t_J`` lets it through
+    data = _make([1, 2], [1, 0], [[1.0], [0.0]], 2)
+    with pytest.raises(InputError, match="outside the grid range"):
+        expand_step_terms(data, 0, [1.0, threshold])
+
+
 # ---------------------------------------------------------------------------
 # epoch storage against dense (n, J, d) paths
 # ---------------------------------------------------------------------------

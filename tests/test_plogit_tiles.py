@@ -10,6 +10,7 @@ with tile budgets small enough to split tiles inside and across epochs.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import tracemalloc
 from unittest import mock
@@ -20,9 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import _oracles as o
-from dsurv import (ConvergenceError, DiscreteSurvivalData, Static,
+from dsurv import (ConvergenceError, DiscreteSurvivalData, SimScenario, Static,
                    SubjectRecord, TimeGrid, expand_step_terms, fit_plogit,
-                   plogit_variances)
+                   generate, plogit_variances)
 from dsurv import _risksets
 from dsurv.io import SubjectTable, build_data, read_subject_csv
 from dsurv.plogit import _PersonPeriod
@@ -165,6 +166,36 @@ def test_a_gain_below_the_log_likelihoods_rounding_is_taken():
         fit = fit_plogit(data)
     assert fit.iterations == 5
     assert len(evaluations) == 6  # the start and one per Newton step
+
+
+@pytest.mark.parametrize("width, rep", [(0.01, 7), (0.2, 2)],
+                         ids=["criterion-6", "criterion-7"])
+def test_a_rounding_tie_near_the_optimum_converges_without_a_fallback(width,
+                                                                      rep):
+    # replicates of the criterion-6 and -7 scenarios whose last Newton
+    # step leaves the log likelihood unchanged in double precision while
+    # the score is still above tol.  Step-halving on the log likelihood
+    # alone stalls there, which a plain-Newton fallback once caught; the
+    # gain test takes the step, and the fallback never fired over 2,000
+    # replicates of either scenario
+    scenario = SimScenario(n=100, beta_star=[-0.4, 0.6, -0.4, 0.3, 0.1],
+                           bin_width=width * math.exp(0.4), reps=1, seed=7)
+    logliks = []
+    evaluate = _PersonPeriod.evaluate
+
+    def recorded(self, b0, beta):
+        out = evaluate(self, b0, beta)
+        logliks.append(out.loglik)
+        return out
+
+    with mock.patch.object(_PersonPeriod, "evaluate", recorded):
+        fit = fit_plogit(generate(scenario, rep), full_fisher=False)
+    assert fit.score_norm <= 1e-9
+    assert len(logliks) == fit.iterations + 1  # no step was halved
+    assert logliks[-1] <= logliks[-2]
+    with mock.patch.object(_PersonPeriod, "gain", lambda *args: -np.inf):
+        with pytest.raises(ConvergenceError, match="line search stalled"):
+            fit_plogit(generate(scenario, rep), full_fisher=False)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
