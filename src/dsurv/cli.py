@@ -24,7 +24,8 @@ from scipy.special import ndtr
 
 from . import __version__
 from .data import CensorOption, TimeGrid, expand_step_terms, risk_summary
-from .errors import ConvergenceError, InputError, SingularMatrixError
+from .errors import (ConvergenceError, InputError, SingularMatrixError,
+                     check_settings)
 from .io import (build_data, dump_json, format_float, read_person_period_csv,
                  read_subject_csv, read_tables_csv, write_curve_csv)
 from .odds import VARIANCES, fit_beta
@@ -153,10 +154,7 @@ def _variance_kinds(args, model):
 
 
 def cmd_fit(args):
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"--tol must be a positive finite number (got {args.tol})")
-    if args.max_iter < 1:
-        raise InputError(f"--max-iter must be at least 1 (got {args.max_iter})")
+    check_settings(args.tol, args.max_iter, "--tol", "--max-iter")
     data = _load_data(args)
     kinds = _variance_kinds(args, args.model)
     x0 = None

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DiscreteSurvivalData
-from .errors import ConvergenceError, InputError, SingularMatrixError
+from .errors import (ConvergenceError, InputError, SingularMatrixError,
+                     check_settings)
 from .prob import (ProbInfluence, VarianceEstimate, _col, _mean_terms, _outer,
                    _sandwich, _solve_spd, _symmetric, fit_gamma, var_model_based,
                    var_model_based2, var_oldstyle, var_robust)
@@ -250,13 +251,15 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     ------
     InputError
         No covariates, no events, or no risk set with both events and
-        event-free members.
+        event-free members; ``tol`` not positive and finite, or
+        ``max_iter`` below 1.
     SingularMatrixError
         Singular Jacobian away from a root.
     ConvergenceError
         Iteration budget exhausted, stalled line search, or divergence
         (``|beta|_inf > 50`` with non-vanishing score).
     """
+    check_settings(tol, max_iter, "fit_beta: tol", "fit_beta: max_iter")
     if data.d < 1:
         raise InputError("no covariates to fit")
     rs = data.risk_sets

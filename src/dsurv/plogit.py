@@ -23,6 +23,13 @@ block, plus one d x d solve.  Working memory is O(n d + K d^2) for K
 included intervals plus a fixed tile budget (``_risksets._TILE``
 entries), never proportional to sum_j n_j; only the information matrix
 a fit returns is dense, (J + d)^2 or, compact, (K + d)^2.
+
+A tile whose entries ``Z = b0_k + eta_i`` are all at most 0 (tested as
+``max b0_k + max eta_i <= 0``) forms ``e^Z`` as the outer product of
+``e^{b0_k + c}`` and ``e^{eta_i - c}``, ``c`` the tile's largest
+``eta``, with no ``exp`` per entry; other tiles take the ``e^{-|Z|}``
+form.  The fit's starting pass is closed form in O(n d^2) per epoch, so
+a fit of k Newton steps makes k tile passes.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DiscreteSurvivalData
-from .errors import ConvergenceError, InputError, SingularMatrixError
+from .errors import (ConvergenceError, InputError, SingularMatrixError,
+                     check_settings)
 
 __all__ = ["PlogitFit", "fit_plogit", "plogit_variances"]
 
@@ -78,9 +86,9 @@ class _PersonPeriod:
     """The person-period rows of the intervals that carry a finite
     intercept, visited as the dense tiles of ``RiskSets.tiles``.
 
-    Each tile holds ``Z = b0_k + eta_i`` for a block of consecutive
-    included intervals ``k`` and a block of the subjects in the engine's
-    order; entries past an interval's risk set are ``-inf``, where the
+    Each tile holds the rows ``Z = b0_k + eta_i`` of a block of
+    consecutive included intervals ``k`` and a block of the subjects in
+    the engine's order; at entries past an interval's risk set the
     fitted probability, its variance and ``log(1 + e^Z)`` are exactly 0.
     Event rows enter in closed form: interval ``k``'s events are the
     rows ``[n_k - T_k, n_k)`` of its epoch.
@@ -105,27 +113,33 @@ class _PersonPeriod:
             rows = self.m[span][at] - T[at] + rank
             self.events.append((rows, at))
             self.SD += X[rows].sum(axis=0)
-        # four arrays of the largest tile, reused by every pass
-        size = max(((r.stop - r.start) * (c.stop - c.start)
-                    for _, _, tiles in self.epochs for r, c in tiles),
-                   default=0)
-        self._scratch = np.empty((4, size))
+        # four arrays of the largest tile, reused by every pass, and ones
+        # to sum a tile's rows and columns with
+        shapes = [(r.stop - r.start, c.stop - c.start)
+                  for _, _, tiles in self.epochs for r, c in tiles]
+        self._scratch = np.empty((4, max((r * c for r, c in shapes),
+                                         default=0)))
+        self._ones = np.ones(max((max(s) for s in shapes), default=0))
+
+    def _clear(self, A, rows, cols, value):
+        """Set the entries of tile ``A`` past each interval's risk set to
+        ``value``."""
+        # columns before `full` lie in every row's risk set
+        full = int(self.m[rows].min()) - cols.start
+        if full < A.shape[1]:
+            tail = A[:, full:]
+            tail[np.arange(cols.start + full, cols.stop)[None, :]
+                 >= self.m[rows, None]] = value
 
     def _probs(self, b0, eta, rows, cols):
         """``(Z, E, Q, P)`` of one tile, in the scratch space:
         ``E = e^{-|Z|}``, ``Q = 1/(1+E)`` and the fitted probabilities
-        ``P``."""
+        ``P``, with ``Z = -inf`` past a risk set."""
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         Z, E, Q, P = (w[:shape[0] * shape[1]].reshape(shape)
                       for w in self._scratch)
         np.add(b0[rows, None], eta[None, cols], out=Z)
-        # columns before `full` lie in every row's risk set
-        full = int(self.m[rows].min()) - cols.start
-        if full < shape[1]:
-            tail = Z[:, full:]
-            past = (np.arange(cols.start + full, cols.stop)[None, :]
-                    >= self.m[rows, None])
-            tail[past] = -np.inf
+        self._clear(Z, rows, cols, -np.inf)
         np.abs(Z, out=E)
         np.negative(E, out=E)
         np.exp(E, out=E)
@@ -134,6 +148,75 @@ class _PersonPeriod:
         np.multiply(E, Q, out=P)
         np.copyto(P, Q, where=Z >= 0.0)
         return Z, E, Q, P
+
+    def _tile(self, b0, eta, rows, cols, moments=True):
+        """``(P, V, log)`` of one tile, in the scratch space: the fitted
+        probabilities and, with ``moments``, their variances
+        ``V = P (1 - P)`` and the sum of ``log(1 + e^Z)``.
+
+        Where every ``Z`` of the tile is at most 0, ``E = e^Z`` is the
+        outer product of ``e^{b0_k + c}`` and ``e^{eta_i - c}``.  Neither
+        factor exceeds 1, and one underflows only where ``e^Z`` does.
+        Then ``P = E / (1 + E)``, ``V = P / (1 + E)`` and
+        ``log(1 + e^Z) = log1p(E)``, all three 0 where ``E = 0`` past a
+        risk set.  Any other tile takes the ``e^{-|Z|}`` form of
+        ``_probs``: with a row's ``b0_k + c > 0`` and an ``eta`` spread
+        beyond 745, ``e^{eta_i - c}`` would underflow on entries that
+        carry ``a_k``.
+        """
+        c = float(eta[cols].max())
+        if float(b0[rows].max()) + c > 0.0:
+            Z, E, Q, P = self._probs(b0, eta, rows, cols)
+            if not moments:
+                return P, None, None
+            # log(1 + e^Z) = max(Z, 0) + log1p(E); V = E Q^2
+            log = float(np.maximum(Z, 0.0, out=Z).sum()
+                        + np.log1p(E, out=Z).sum())
+            V = np.multiply(E, Q, out=E)
+            V *= Q
+            return P, V, log
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        L, E, W, P = (w[:shape[0] * shape[1]].reshape(shape)
+                      for w in self._scratch)
+        np.multiply(np.exp(b0[rows, None] + c), np.exp(eta[None, cols] - c),
+                    out=E)
+        self._clear(E, rows, cols, 0.0)
+        np.add(E, 1.0, out=W)
+        np.divide(E, W, out=P)
+        if not moments:
+            return P, None, None
+        log = float(np.log1p(E, out=L).sum())
+        return P, np.divide(P, W, out=E), log
+
+    def start(self):
+        """``(b0, beta, pass)`` at the start point ``beta = 0``,
+        ``b0_k = logit(p_k)`` with ``p_k = T_k / m_k``.
+
+        Every fitted probability of interval ``k`` is then ``p_k``, so
+        the pass is closed form in O(n d^2) per epoch: ``a_k = m_k v_k``
+        and ``C_k = v_k sum_{i < m_k} X_i`` with ``v_k = p_k (1 - p_k)``,
+        and each member's weights in ``rb`` and ``F`` are the sums of
+        ``p_k`` and ``v_k`` over the intervals whose risk set holds it.
+        """
+        d = self.SD.size
+        p = self.T / self.m
+        v = p * (1.0 - p)
+        b0 = np.log(self.T / (self.m - self.T))
+        loglik = float(self.T @ b0 + self.m @ np.log1p(-p))
+        C = np.empty((self.K, d))
+        rb, F = self.SD.copy(), np.zeros((d, d))
+        for X, span, _ in self.epochs:
+            m = self.m[span]
+            head = np.zeros((X.shape[0] + 1, d))
+            np.cumsum(X, axis=0, out=head[1:])
+            C[span] = v[span, None] * head[m]
+            # member i's sums over the intervals k with i < m_k
+            sums = np.bincount(m, weights=p[span], minlength=X.shape[0] + 1)
+            rb -= sums[::-1].cumsum()[::-1][1:] @ X
+            sums = np.bincount(m, weights=v[span], minlength=X.shape[0] + 1)
+            F += X.T @ (X * sums[::-1].cumsum()[::-1][1:, None])
+        return b0, np.zeros(d), _Pass(loglik, self.T - self.m * p, rb,
+                                      self.m * v, C, F)
 
     def evaluate(self, b0, beta):
         """Log likelihood, scores and arrow-structured information blocks
@@ -147,17 +230,15 @@ class _PersonPeriod:
             eta = X @ beta
             col_p, col_v = np.zeros(eta.size), np.zeros(eta.size)
             for rows, cols in tiles:
-                Z, E, Q, P = self._probs(b0, eta, rows, cols)
-                # log(1 + e^Z) = max(Z, 0) + log1p(E); V = E Q^2 = P (1 - P)
-                loglik -= float(np.maximum(Z, 0.0, out=Z).sum()
-                                + np.log1p(E, out=Z).sum())
-                V = np.multiply(E, Q, out=E)
-                V *= Q
-                r0[rows] -= P.sum(axis=1)
-                a[rows] += V.sum(axis=1)
+                P, V, log = self._tile(b0, eta, rows, cols)
+                row_sum, col_sum = (self._ones[:P.shape[1]],
+                                    self._ones[:P.shape[0]])
+                loglik -= log
+                r0[rows] -= P @ row_sum
+                a[rows] += V @ row_sum
                 C[rows] += V @ X[cols]
-                col_p[cols] += P.sum(axis=0)
-                col_v[cols] += V.sum(axis=0)
+                col_p[cols] += col_sum @ P
+                col_v[cols] += col_sum @ V
             rb -= col_p @ X
             F += X.T @ (X * col_v[:, None])
         return _Pass(loglik, r0, rb, a, C, F)
@@ -195,8 +276,8 @@ class _PersonPeriod:
             col_p = np.zeros(eta.size)
             part = np.zeros(X.shape)
             for rows, cols in tiles:
-                P = self._probs(b0, eta, rows, cols)[3]
-                col_p[cols] += P.sum(axis=0)
+                P = self._tile(b0, eta, rows, cols, moments=False)[0]
+                col_p[cols] += self._ones[:P.shape[0]] @ P
                 part[cols] += P.T @ ratio[rows]
             part -= X * col_p[:, None]
             part[ev_rows] += X[ev_rows] - ratio[span][ev_at]
@@ -256,7 +337,8 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     Raises
     ------
     InputError
-        No covariates, or no interval with both events and non-events.
+        No covariates, or no interval with both events and non-events;
+        ``tol`` not positive and finite, or ``max_iter`` below 1.
     SingularMatrixError
         Rank-deficient design.
     ConvergenceError
@@ -264,6 +346,7 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
         value with non-vanishing score), stalled line search, or an
         exhausted iteration budget.
     """
+    check_settings(tol, max_iter, "fit_plogit: tol", "fit_plogit: max_iter")
     if data.d < 1:
         raise InputError("no covariates to fit")
     pp = _PersonPeriod(data)
@@ -272,11 +355,9 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     n, d, J = data.n, data.d, data.n_intervals
     K, live = pp.K, pp.live
 
-    b0 = np.log(pp.T / (pp.m - pp.T))
-    beta = np.zeros(d)
     # the pass at the current estimate: its log likelihood, scores and
     # information
-    cur = pp.evaluate(b0, beta)
+    b0, beta, cur = pp.start()
 
     converged = False
     score_norm = np.inf

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DiscreteSurvivalData
-from .errors import ConvergenceError, InputError, SingularMatrixError
+from .errors import (ConvergenceError, InputError, SingularMatrixError,
+                     check_settings)
 
 __all__ = [
     "ProbFit",
@@ -244,13 +245,15 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
     Raises
     ------
     InputError
-        No events, or no covariates.
+        No events, or no covariates; ``tol`` not positive and finite,
+        or ``max_iter`` below 1.
     SingularMatrixError
         Rank-deficient design (singular Hessian).
     ConvergenceError
         Iteration budget exhausted, stalled line search, or monotone
         likelihood (``|gamma|_inf > 50`` with non-vanishing score).
     """
+    check_settings(tol, max_iter, "fit_gamma: tol", "fit_gamma: max_iter")
     if data.d < 1:
         raise InputError("no covariates to fit")
     n = data.n

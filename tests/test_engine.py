@@ -11,12 +11,14 @@
   so the line search of ``fit_gamma`` does not stall on that rounding.
 * The two-sample closed forms equal the regression fits on random
   nested tables (criterion 5 on a wider family of tables).
+* Every fit rejects iteration settings under which it cannot converge.
 """
 
 from __future__ import annotations
 
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -379,3 +381,27 @@ def test_closed_forms_equal_the_regression_fits_on_random_tables(tables):
 def _close_variances(closed, fitted):
     np.testing.assert_allclose(
         closed, [v.covariance[0, 0] for v in fitted], rtol=1e-8, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# iteration settings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("settings, message", [
+    ({"tol": -1.0}, "tol must be a positive finite number (got -1.0)"),
+    ({"tol": 0.0}, "tol must be a positive finite number (got 0.0)"),
+    ({"tol": math.nan}, "tol must be a positive finite number (got nan)"),
+    ({"tol": math.inf}, "tol must be a positive finite number (got inf)"),
+    ({"max_iter": 0}, "max_iter must be at least 1 (got 0)"),
+    ({"max_iter": -2}, "max_iter must be at least 1 (got -2)"),
+], ids=["negative", "zero", "nan", "inf", "no-iterations", "negative-budget"])
+@pytest.mark.parametrize("fit", [fit_gamma, fit_beta, fit_plogit],
+                         ids=lambda fit: fit.__name__)
+def test_fits_reject_settings_under_which_they_cannot_converge(fit, settings,
+                                                               message):
+    # these once ran the whole budget (or none of it) and then raised
+    # ConvergenceError
+    data = generate(SimScenario(reps=1, **_CRITERION_6), 0)
+    with pytest.raises(InputError, match=re.escape(f"{fit.__name__}: {message}")):
+        fit(data, **settings)
+    fit(data, tol=1e-9, max_iter=50)

@@ -6,10 +6,14 @@ the per-interval loop of ``_oracles`` on random designs with ties,
 all-event and event-free intervals (both excluded from the likelihood),
 ``y = 0`` subjects, step terms and linear predictors in the hundreds,
 with tile budgets small enough to split tiles inside and across epochs.
+Shifted intercepts force each tile form (the outer product where every
+``Z <= 0``, ``e^{-|Z|}`` elsewhere), and the closed-form starting pass
+is compared with a tiled pass at the same point.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import pathlib
 import tracemalloc
@@ -35,14 +39,14 @@ _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
-def _close(got, want, scale):
-    """Equal within ``_RTOL`` relative to the larger of ``scale`` (the
+def _close(got, want, scale, rtol=_RTOL):
+    """Equal within ``rtol`` relative to the larger of ``scale`` (the
     size of the terms summed) and the largest entry of ``want``."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert np.all(np.isfinite(got))
     scale = max(scale, float(np.max(np.abs(want), initial=0.0)))
-    np.testing.assert_allclose(got, want, rtol=_RTOL, atol=_RTOL * scale)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
 
 
 @st.composite
@@ -93,14 +97,33 @@ def _loglik_terms(data, b0, beta):
     return data.n * data.n_intervals * (1.0 + z_max)
 
 
-@_SETTINGS
-@given(designs())
-def test_tiled_pass_and_score_rows_match_the_loop(case):
-    data, b0, beta, budget = case
+@contextlib.contextmanager
+def _paths():
+    """Count the tiles by path: ``"tiles"`` all of them, ``"probs"`` those
+    that took the ``e^{-|Z|}`` form rather than the outer product."""
+    counts = {"tiles": 0, "probs": 0}
+    tile, probs = _PersonPeriod._tile, _PersonPeriod._probs
+
+    def counted_tile(self, *args, **kwargs):
+        counts["tiles"] += 1
+        return tile(self, *args, **kwargs)
+
+    def counted_probs(self, *args):
+        counts["probs"] += 1
+        return probs(self, *args)
+
+    with mock.patch.object(_PersonPeriod, "_tile", counted_tile), \
+            mock.patch.object(_PersonPeriod, "_probs", counted_probs):
+        yield counts
+
+
+def _check_against_the_loop(data, b0, beta, budget):
+    """The pass and the score rows at ``(b0, beta)`` equal the loop's;
+    returns the tile counts of ``_paths`` and the loop's ``(a, C)``."""
     n, d, J = data.n, data.d, data.n_intervals
     x = _x_size(data)
     live, triples = o.plogit_person_period(data)
-    with mock.patch.object(_risksets, "_TILE", budget):
+    with mock.patch.object(_risksets, "_TILE", budget), _paths() as counts:
         pp = _PersonPeriod(data)
         got = pp.evaluate(b0, beta)
         ratio = got.C / got.a[:, None]
@@ -115,6 +138,91 @@ def test_tiled_pass_and_score_rows_match_the_loop(case):
     _close(got.C, C, n * x)
     _close(got.F, F, n * x * x)
     _close(q, o.plogit_subject_scores(triples, n, b0, beta, ratio), J * x)
+    return counts, got, (a, C)
+
+
+@_SETTINGS
+@given(designs())
+def test_tiled_pass_and_score_rows_match_the_loop(case):
+    _check_against_the_loop(*case)
+
+
+@_SETTINGS
+@given(designs(), st.sampled_from(["nonpositive", "positive"]))
+def test_each_tile_path_matches_the_loop(case, side):
+    # intercepts shifted so that every Z = b0_k + eta_i is at most 0,
+    # where every tile is an outer product, or above 0, where none is.
+    # The whole budget puts every interval of an epoch in one tile, with
+    # entries past the risk sets of all but the first
+    data, b0, beta, budget = case
+    eta = np.stack([data.covariates_at(j) @ beta
+                    for j in range(1, data.n_intervals + 1)])
+    if side == "nonpositive":
+        b0 = -np.abs(b0) - eta.max()
+    else:
+        b0 = np.abs(b0) - eta.min() + 0.5
+    for tiles in {budget, 2 ** 16}:
+        counts, _, _ = _check_against_the_loop(data, b0, beta, tiles)
+        assert counts["tiles"] > 0
+        assert counts["probs"] == (0 if side == "nonpositive"
+                                   else counts["tiles"])
+
+
+def test_a_positive_row_with_a_wide_eta_spread_is_not_an_outer_product():
+    # one tile holds every row.  Subject 1's eta is its largest, c = 400,
+    # and the others' are near -400.  With b0_k = 300 every row has
+    # b0_k + c = 700 > 0, and e^{eta_i - c} underflows for the others
+    # although their Z near -100 carries nearly all of a_k: subject 1's
+    # variance is e^{-700}.  An outer product would drop them and leave
+    # a_k 261 orders of magnitude too small
+    X = np.array([[400.0], [-400.0], [-399.0], [-401.0], [-400.5]])
+    y = np.array([2, 2, 1, 2, 2])
+    delta = np.array([False, True, True, False, True])
+    subs = [SubjectRecord(str(i + 1), int(y[i]), bool(delta[i]), Static(X[i]))
+            for i in range(y.size)]
+    data = DiscreteSurvivalData(TimeGrid(np.arange(1.0, 3.0)), subs)
+    counts, got, (a, C) = _check_against_the_loop(
+        data, np.array([300.0, 300.0]), np.array([1.0]), 2 ** 16)
+    assert counts["probs"] == counts["tiles"] > 0
+    # a sum of positive terms, and C_k / a_k a weighted mean of X, are
+    # equal relative to their own size
+    np.testing.assert_allclose(got.a, a, rtol=_RTOL)
+    np.testing.assert_allclose(got.C / got.a[:, None], C / a[:, None],
+                               rtol=_RTOL)
+
+
+def _check_start(data, budget=2 ** 16):
+    """``start()`` is the pass at ``beta = 0``, ``b0 = logit(T / m)``."""
+    n, x = data.n, _x_size(data)
+    with mock.patch.object(_risksets, "_TILE", budget):
+        pp = _PersonPeriod(data)
+        b0, beta, got = pp.start()
+        want = pp.evaluate(np.log(pp.T / (pp.m - pp.T)), np.zeros(data.d))
+    np.testing.assert_array_equal(b0, np.log(pp.T / (pp.m - pp.T)))
+    np.testing.assert_array_equal(beta, np.zeros(data.d))
+    for name, scale in (("loglik", 0.0), ("r0", n), ("rb", n * x),
+                        ("a", 0.0), ("C", n * x), ("F", 0.0)):
+        _close(getattr(got, name), getattr(want, name), scale, rtol=1e-12)
+    return pp
+
+
+@_SETTINGS
+@given(designs())
+def test_the_closed_form_start_is_the_pass_at_the_start_point(case):
+    # static and step-term designs with ties, all-event and event-free
+    # intervals and y = 0 subjects
+    data, _, _, budget = case
+    _check_start(data, budget)
+
+
+@pytest.mark.parametrize("width", [None, 20.0], ids=["original", "20-day"])
+def test_the_closed_form_start_on_the_veterans_data_with_step_terms(width):
+    path = pathlib.Path(__file__).resolve().parents[1] / "data" / "veteran.csv"
+    table = read_subject_csv(path)
+    data = expand_step_terms(build_data(table, width=width),
+                             table.names.index("treat"), [100.0, 200.0])
+    pp = _check_start(data)
+    assert len(pp.epochs) == 3 and not pp.live.all()
 
 
 @_SETTINGS
@@ -156,19 +264,24 @@ def test_a_gain_below_the_log_likelihoods_rounding_is_taken():
     data = expand_step_terms(build_data(table, width=20.0),
                              table.names.index("treat"), [100.0, 200.0])
     evaluations = []
-    evaluate = _PersonPeriod.evaluate
+    evaluate, start = _PersonPeriod.evaluate, _PersonPeriod.start
 
     def counted(self, b0, beta):
         evaluations.append(1)
         return evaluate(self, b0, beta)
 
-    with mock.patch.object(_PersonPeriod, "evaluate", counted):
+    def counted_start(self):
+        evaluations.append(1)
+        return start(self)
+
+    with mock.patch.object(_PersonPeriod, "evaluate", counted), \
+            mock.patch.object(_PersonPeriod, "start", counted_start):
         fit = fit_plogit(data)
     assert fit.iterations == 5
     assert len(evaluations) == 6  # the start and one per Newton step
 
 
-@pytest.mark.parametrize("width, rep", [(0.01, 7), (0.2, 2)],
+@pytest.mark.parametrize("width, rep", [(0.01, 8), (0.2, 2)],
                          ids=["criterion-6", "criterion-7"])
 def test_a_rounding_tie_near_the_optimum_converges_without_a_fallback(width,
                                                                       rep):
@@ -177,18 +290,25 @@ def test_a_rounding_tie_near_the_optimum_converges_without_a_fallback(width,
     # the score is still above tol.  Step-halving on the log likelihood
     # alone stalls there, which a plain-Newton fallback once caught; the
     # gain test takes the step, and the fallback never fired over 2,000
-    # replicates of either scenario
+    # replicates of either scenario.  Which replicates tie depends on the
+    # last bits of the pass; these are the first that do in each scenario
     scenario = SimScenario(n=100, beta_star=[-0.4, 0.6, -0.4, 0.3, 0.1],
                            bin_width=width * math.exp(0.4), reps=1, seed=7)
     logliks = []
-    evaluate = _PersonPeriod.evaluate
+    evaluate, start = _PersonPeriod.evaluate, _PersonPeriod.start
 
     def recorded(self, b0, beta):
         out = evaluate(self, b0, beta)
         logliks.append(out.loglik)
         return out
 
-    with mock.patch.object(_PersonPeriod, "evaluate", recorded):
+    def recorded_start(self):
+        out = start(self)
+        logliks.append(out[2].loglik)
+        return out
+
+    with mock.patch.object(_PersonPeriod, "evaluate", recorded), \
+            mock.patch.object(_PersonPeriod, "start", recorded_start):
         fit = fit_plogit(generate(scenario, rep), full_fisher=False)
     assert fit.score_norm <= 1e-9
     assert len(logliks) == fit.iterations + 1  # no step was halved
