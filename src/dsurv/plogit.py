@@ -21,8 +21,8 @@ the arrow blocks: per Newton step O(sum_j n_j) elementwise work, one
 product of O(sum_j n_j d) for the couplings and O(n d^2) for the beta
 block, plus one d x d solve.  Working memory is O(n d + K d^2) for K
 included intervals plus a fixed tile budget (``_risksets._TILE``
-entries), never proportional to sum_j n_j; only the information matrix
-a fit returns is dense, (J + d)^2 or, compact, (K + d)^2.
+entries), never proportional to sum_j n_j.  A fit keeps the arrow
+blocks; its dense (J + d)^2 or (K + d)^2 information is built on read.
 
 A tile whose entries ``Z = b0_k + eta_i`` are all at most 0 (tested as
 ``max b0_k + max eta_i <= 0``) forms ``e^Z`` as the outer product of
@@ -58,28 +58,56 @@ class PlogitFit:
         intervals (no events / all events).
     loglik : float
         Maximized log likelihood over the included person-period rows.
-    fisher : (J + d, J + d) ndarray
-        Observed information at the optimum (raw sum scale), with the
-        intercept for interval ``j`` in row ``j - 1`` and ``beta`` in
-        the last ``d`` rows.  Rows of excluded intervals are zero.
     iterations : int
     score_norm : float
         Scaled max norm of the score at the returned estimate.
     included : (J,) bool ndarray
         Which intervals enter the likelihood.
     n : int
+    a, C, F : (K,), (K, d), (d, d) ndarrays
+        Arrow blocks of the observed information at the optimum (raw sum
+        scale) over the K included intervals.
+    full_fisher : bool
     warnings : list of str
+    fisher : ndarray, read only
+        The dense information, built from the blocks on first access:
+        by default ``(J + d)^2``, ordered as ``beta0`` then ``beta`` with
+        excluded rows zero; with ``full_fisher=False``, ``(K + d)^2``.
     """
 
     beta: np.ndarray
     beta0: np.ndarray
     loglik: float
-    fisher: np.ndarray
     iterations: int
     score_norm: float
     included: np.ndarray
     n: int
+    a: np.ndarray
+    C: np.ndarray
+    F: np.ndarray
+    full_fisher: bool
     warnings: list = field(default_factory=list)
+    _fisher: np.ndarray = field(default=None, init=False, repr=False)
+
+    @property
+    def fisher(self):
+        if self._fisher is None:
+            m = self.included.size if self.full_fisher else self.a.size
+            pos = (np.flatnonzero(self.included) if self.full_fisher
+                   else np.arange(m))
+            self._fisher = _dense_information(self.a, self.C, self.F, pos, m)
+        return self._fisher
+
+
+def _dense_information(a, C, F, pos, m):
+    """The ``(m + d)``-square arrow matrix over ``m`` intercept rows,
+    with the blocks ``a`` and ``C`` at the intercept rows ``pos``."""
+    fisher = np.zeros((m + F.shape[0],) * 2)
+    fisher[pos, pos] = a
+    fisher[pos, m:] = C
+    fisher[m:, pos] = C.T
+    fisher[m:, m:] = F
+    return fisher
 
 
 class _PersonPeriod:
@@ -327,12 +355,11 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     summed row by row from the step, is positive: near the optimum the
     gain falls below the rounding of the log likelihood itself.
 
-    With ``full_fisher=False`` the stored information matrix is the
-    compact one over included intervals only, ``(K + d) x (K + d)`` with
-    ``K`` the number of included intervals, instead of the zero-padded
-    ``(J + d) x (J + d)`` layout.  Useful when the grid is much finer
-    than the events (simulation harness, ``dsurv fit``); downstream
-    variance code accepts either layout.
+    ``full_fisher`` picks the layout ``fit.fisher`` builds on first read:
+    with ``full_fisher=False`` the compact one over included intervals
+    only, ``(K + d) x (K + d)``, instead of the zero-padded
+    ``(J + d) x (J + d)``.  ``plogit_variances`` reads the arrow blocks
+    the fit stores, so it builds neither.
 
     Raises
     ------
@@ -352,8 +379,7 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     pp = _PersonPeriod(data)
     if not pp.K:
         raise InputError("no interval has both events and event-free members")
-    n, d, J = data.n, data.d, data.n_intervals
-    K, live = pp.K, pp.live
+    n, J, live = data.n, data.n_intervals, pp.live
 
     # the pass at the current estimate: its log likelihood, scores and
     # information
@@ -405,19 +431,6 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     beta0 = np.full(J, -np.inf)
     beta0[pp.rs.n_events == pp.rs.n_at_risk] = np.inf
     beta0[live] = b0
-    pos = np.flatnonzero(live)
-    if full_fisher:
-        fisher = np.zeros((J + d, J + d))
-        fisher[pos, pos] = cur.a
-        fisher[np.ix_(pos, range(J, J + d))] = cur.C
-        fisher[np.ix_(range(J, J + d), pos)] = cur.C.T
-        fisher[J:, J:] = cur.F
-    else:
-        fisher = np.zeros((K + d, K + d))
-        fisher[np.arange(K), np.arange(K)] = cur.a
-        fisher[:K, K:] = cur.C
-        fisher[K:, :K] = cur.C.T
-        fisher[K:, K:] = cur.F
 
     warnings = []
     n_excluded = int(np.sum(~live))
@@ -425,8 +438,9 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
         warnings.append(
             f"{n_excluded} interval(s) excluded from the pooled likelihood "
             "(no events or all events); their intercepts are infinite sentinels")
-    return PlogitFit(beta=beta, beta0=beta0, loglik=cur.loglik, fisher=fisher,
+    return PlogitFit(beta=beta, beta0=beta0, loglik=cur.loglik,
                      iterations=it, score_norm=score_norm, included=live, n=n,
+                     a=cur.a, C=cur.C, F=cur.F, full_fisher=full_fisher,
                      warnings=warnings)
 
 
@@ -445,31 +459,29 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
     Notes
     -----
     The information is arrow shaped: intercepts ``a_k`` on the
-    diagonal, their beta couplings ``C_k`` and the beta block ``F``.
-    Its inverse's beta block is the inverse ``S^-1`` of the Schur
-    complement ``S = F - sum_k C_k C_k' / a_k``, and the beta block of
-    the sandwich is ``S^-1 (sum_i q_i q_i') S^-1`` with
+    diagonal, their beta couplings ``C_k`` and the beta block ``F``, as
+    the fit stores them.  Its inverse's beta block is the inverse ``S^-1``
+    of the Schur complement ``S = F - sum_k C_k C_k' / a_k``, and the beta
+    block of the sandwich is ``S^-1 (sum_i q_i q_i') S^-1`` with
     ``q_i = sum_k resid_ik (X_i - C_k / a_k)`` over subject i's rows, so
     neither the full inverse nor the per-subject score matrix is formed.
+    A fit of another dataset (``n``, ``d`` or ``included``) is an
+    ``InputError``.
     """
     pp = _PersonPeriod(data)
-    d, J = data.d, data.n_intervals
-    pos = np.flatnonzero(pp.live)
-    K = pos.size
-    info = fit.fisher
-    if info.shape[0] == K + d:  # compact layout (full_fisher=False)
-        a, C = np.diag(info)[:K], info[:K, K:]
-    else:
-        a, C = info[pos, pos], info[np.ix_(pos, np.arange(J, J + d))]
-    ratio = C / a[:, None]
-    schur = info[-d:, -d:] - ratio.T @ C
+    if (fit.n != data.n or fit.beta.size != data.d
+            or not np.array_equal(fit.included, pp.live)):
+        raise InputError(
+            "plogit_variances: the fit does not belong to this dataset")
+    ratio = fit.C / fit.a[:, None]
+    schur = fit.F - ratio.T @ fit.C
     try:
-        inv = np.linalg.solve(schur, np.eye(d))
+        inv = np.linalg.solve(schur, np.eye(data.d))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("plogit_variances: singular information") from exc
     if not np.all(np.isfinite(inv)):
         raise SingularMatrixError("plogit_variances: singular information")
 
-    q = pp.subject_scores(fit.beta0[pos], fit.beta, ratio)
+    q = pp.subject_scores(fit.beta0[fit.included], fit.beta, ratio)
     robust = inv @ (q.T @ q) @ inv
     return 0.5 * (inv + inv.T), 0.5 * (robust + robust.T)

@@ -5,7 +5,9 @@ import pytest
 
 import _oracles as o
 from dsurv import (ConvergenceError, DiscreteSurvivalData, InputError, Static,
-                   SubjectRecord, TimeGrid, fit_plogit, plogit_variances)
+                   SubjectRecord, TimeGrid, expand_step_terms, fit_plogit,
+                   plogit_variances)
+from dsurv.io import SubjectTable, build_data
 
 
 def _make(y, delta, X, J):
@@ -193,3 +195,39 @@ def test_arrow_variances_equal_the_dense_inverse_and_sandwich(full_fisher, seed)
     full = inv @ (scores.T @ scores) @ inv
     np.testing.assert_allclose(mb, inv[K:, K:], rtol=1e-10, atol=0)
     np.testing.assert_allclose(rob, full[K:, K:], rtol=1e-10, atol=0)
+
+
+def _table(seed, n):
+    """Continuous times, no ties: exponential events with rate
+    ``exp(x' beta)``, uniform censoring on (0, 3)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    X = np.column_stack([rng.integers(0, 2, n).astype(float),
+                         rng.standard_normal((n, 3))])
+    t_event = rng.exponential(np.exp(-X @ np.array([0.5, -0.3, 0.2, 0.1])))
+    t_cens = rng.uniform(0.0, 3.0, n)
+    return SubjectTable(ids=[str(i + 1) for i in range(n)],
+                        time=np.minimum(t_event, t_cens),
+                        status=t_event <= t_cens, covariates=X,
+                        names=["treat", "z1", "z2", "z3"])
+
+
+@pytest.mark.parametrize("other", ["another sample", "a 0.5 grid",
+                                   "a step term"])
+def test_variances_of_a_fit_from_another_dataset_are_refused(other):
+    # the same n in every case.  The fit's information would otherwise be
+    # read against another sample's risk sets (a finite, meaningless
+    # matrix), another grid's (a singular one) or one more covariate
+    table = _table(1, 300)
+    data = build_data(table)
+    fit = fit_plogit(data)
+    if other == "another sample":
+        wrong = build_data(_table(2, 300))
+    elif other == "a 0.5 grid":
+        wrong = build_data(table, width=0.5)
+    else:
+        wrong = expand_step_terms(data, 0, [0.5])
+    assert wrong.n == data.n
+    with pytest.raises(InputError, match="the fit does not belong to this "
+                                         "dataset"):
+        plogit_variances(wrong, fit)
+    assert np.all(np.isfinite(plogit_variances(data, fit)))

@@ -8,7 +8,9 @@ all-event and event-free intervals (both excluded from the likelihood),
 with tile budgets small enough to split tiles inside and across epochs.
 Shifted intercepts force each tile form (the outer product where every
 ``Z <= 0``, ``e^{-|Z|}`` elsewhere), and the closed-form starting pass
-is compared with a tiled pass at the same point.
+is compared with a tiled pass at the same point.  A fit's dense
+information, assembled on first access from the arrow blocks the fit
+keeps, is compared with the assembly ``fit_plogit`` once made eagerly.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles as o
-from dsurv import (ConvergenceError, DiscreteSurvivalData, SimScenario, Static,
-                   SubjectRecord, TimeGrid, expand_step_terms, fit_plogit,
-                   generate, plogit_variances)
-from dsurv import _risksets
+from dsurv import (ConvergenceError, DiscreteSurvivalData, SimScenario,
+                   SingularMatrixError, Static, SubjectRecord, TimeGrid,
+                   expand_step_terms, fit_plogit, generate, plogit_variances,
+                   replicate)
+from dsurv import _risksets, plogit
+from dsurv.cli import main
 from dsurv.io import SubjectTable, build_data, read_subject_csv
 from dsurv.plogit import _PersonPeriod
 
@@ -318,6 +322,54 @@ def test_a_rounding_tie_near_the_optimum_converges_without_a_fallback(width,
             fit_plogit(generate(scenario, rep), full_fisher=False)
 
 
+def test_a_step_that_ties_the_log_likelihood_is_taken_on_its_gain():
+    # every candidate pass is given the start's log likelihood, so each
+    # ties the current one exactly, whatever the kernel's last bits:
+    # only the gain test can take a step, and it takes each at full
+    # length, along the path of the fit without ties
+    path = pathlib.Path(__file__).resolve().parents[1] / "data" / "veteran.csv"
+    data = build_data(read_subject_csv(path), width=20.0)
+    want = fit_plogit(data)
+    evaluate, start, gain = (_PersonPeriod.evaluate, _PersonPeriod.start,
+                             _PersonPeriod.gain)
+    passes, gains = [], []
+
+    def started(self):
+        out = start(self)
+        passes.append(out[2].loglik)
+        return out
+
+    def tied(self, b0, beta):
+        out = evaluate(self, b0, beta)
+        out.loglik = passes[0]
+        passes.append(out.loglik)
+        return out
+
+    def recorded(self, *args):
+        gains.append(gain(self, *args))
+        return gains[-1]
+
+    with mock.patch.object(_PersonPeriod, "start", started), \
+            mock.patch.object(_PersonPeriod, "evaluate", tied), \
+            mock.patch.object(_PersonPeriod, "gain", recorded):
+        fit = fit_plogit(data)
+    assert fit.iterations == want.iterations > 1
+    assert len(passes) == len(gains) + 1 == fit.iterations + 1
+    assert min(gains) > 0.0
+    np.testing.assert_array_equal(fit.beta, want.beta)
+    np.testing.assert_array_equal(fit.beta0, want.beta0)
+    # with no gain either, the first step is halved to the end
+    passes.clear()
+    with mock.patch.object(_PersonPeriod, "start", started), \
+            mock.patch.object(_PersonPeriod, "evaluate", tied), \
+            mock.patch.object(_PersonPeriod, "gain", lambda *args: 0.0):
+        with pytest.raises(ConvergenceError,
+                           match="line search stalled") as err:
+            fit_plogit(data)
+    assert err.value.iterations == 1
+    assert len(passes) == 1 + 41  # the start and t = 1, 1/2, ..., 2^-40
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e2, 1e3])
 def test_extreme_linear_predictors_give_a_finite_fit_or_a_clean_error(scale):
@@ -364,4 +416,94 @@ def test_original_scale_plogit_memory_is_bounded_by_the_tile():
         peak = tracemalloc.get_traced_memory()[1] - fit.fisher.nbytes
     finally:
         tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def _dense_reference(a, C, F, included, full_fisher):
+    """The dense information as ``fit_plogit`` once assembled it, before
+    fits kept the arrow blocks."""
+    K, d, J = a.size, F.shape[0], included.size
+    pos = np.flatnonzero(included)
+    if full_fisher:
+        fisher = np.zeros((J + d, J + d))
+        fisher[pos, pos] = a
+        fisher[np.ix_(pos, range(J, J + d))] = C
+        fisher[np.ix_(range(J, J + d), pos)] = C.T
+        fisher[J:, J:] = F
+    else:
+        fisher = np.zeros((K + d, K + d))
+        fisher[np.arange(K), np.arange(K)] = a
+        fisher[:K, K:] = C
+        fisher[K:, :K] = C.T
+        fisher[K:, K:] = F
+    return fisher
+
+
+@_SETTINGS
+@given(designs())
+def test_fisher_is_the_dense_assembly_of_the_stored_blocks(case):
+    # static and step-term designs with all-event and event-free
+    # (excluded) intervals, in both layouts
+    data = case[0]
+    for full_fisher in (True, False):
+        try:
+            fit = fit_plogit(data, full_fisher=full_fisher)
+        except (ConvergenceError, SingularMatrixError):
+            assume(False)
+        K = int(fit.included.sum())
+        assert fit.a.shape == (K,) and fit.C.shape == (K, data.d)
+        want = _dense_reference(fit.a, fit.C, fit.F, fit.included,
+                                full_fisher)
+        got = fit.fisher
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert fit.fisher is got
+
+
+def test_fits_their_variances_and_reports_never_assemble_fisher(tmp_path):
+    # fit_plogit and plogit_variances, replicate and dsurv fit read the
+    # arrow blocks only; the dense matrix is built once, on first read
+    veteran = str(pathlib.Path(__file__).resolve().parents[1] / "data"
+                  / "veteran.csv")
+    data = build_data(read_subject_csv(veteran))
+    scenario = SimScenario(n=100, beta_star=[-0.4, 0.6, -0.4, 0.3, 0.1],
+                           bin_width=0.01 * math.exp(0.4), reps=2, seed=7)
+    with mock.patch("dsurv.plogit._dense_information",
+                    wraps=plogit._dense_information) as dense:
+        fit = fit_plogit(data)
+        plogit_variances(data, fit)
+        summary = replicate(scenario, methods=("plogit",),
+                            variance_kinds=("mb", "robust"))
+        assert summary.n_failed["plogit"] == 0
+        assert main(["fit", "--model", "plogit", "--data", veteran,
+                     "--tdc", "treat:100,200", "--variance", "mb",
+                     "--json", str(tmp_path / "fit.json")]) == 0
+        assert dense.call_count == 0
+        assert fit.fisher is fit.fisher
+        assert dense.call_count == 1
+
+
+def test_original_scale_plogit_with_its_fit_stays_under_16_mib():
+    # the default layout, whose dense matrix would be (J + d)^2, about
+    # 3 GiB here: the fit keeps its arrow blocks, O(K d), and the peak is
+    # counted with the fit and its variances alive, nothing subtracted
+    n = 20_000
+    rng = np.random.default_rng(np.random.SeedSequence([7, n]))
+    X = np.column_stack([rng.integers(0, 2, n).astype(float),
+                         rng.standard_normal((n, 3))])
+    t_event = rng.exponential(np.exp(-X @ np.array([0.5, -0.3, 0.2, 0.1])))
+    t_cens = rng.uniform(0.0, 3.0, n)
+    table = SubjectTable(ids=[str(i + 1) for i in range(n)],
+                         time=np.minimum(t_event, t_cens),
+                         status=t_event <= t_cens, covariates=X,
+                         names=["treat", "z1", "z2", "z3"])
+    data = build_data(table)
+    assert data.n_intervals > 0.99 * n
+    tracemalloc.start()
+    try:
+        fit = fit_plogit(data)
+        variances = plogit_variances(data, fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(variances))
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
