@@ -14,22 +14,22 @@ reported as infinite sentinels.
 
 The joint Newton iteration exploits the arrow structure of the
 information matrix (each intercept appears in exactly one risk set).
-Risk sets are nested prefixes of one subject order, so the person-period
-rows are visited as dense (intervals x subjects) tiles of the risk-set
-engine, and one pass over them gives the log likelihood, the scores and
-the arrow blocks: per Newton step O(sum_j n_j) elementwise work, one
-product of O(sum_j n_j d) for the couplings and O(n d^2) for the beta
-block, plus one d x d solve.  Working memory is O(n d + K d^2) for K
-included intervals plus a fixed tile budget (``_risksets._TILE``
-entries), never proportional to sum_j n_j.  A fit keeps the arrow
-blocks; its dense (J + d)^2 or (K + d)^2 information is built on read.
+Risk sets are nested prefixes of one subject order.  One pass gives the
+log likelihood, the scores and the arrow blocks: intervals whose odds are
+small by power series over prefix sums, O(n M d) per epoch for M terms
+(nearly every interval on the original time scale), the others as dense
+tiles of the risk-set engine, O(sum_j n_j d).  Working memory is
+O(n d + K d^2) for K included intervals plus buffers of at most
+``_risksets._TILE`` entries, never proportional to sum_j n_j.  A fit
+keeps the arrow blocks; its dense (J + d)^2 or (K + d)^2 information is
+built on read.
 
 A tile whose entries ``Z = b0_k + eta_i`` are all at most 0 (tested as
 ``max b0_k + max eta_i <= 0``) forms ``e^Z`` as the outer product of
 ``e^{b0_k + c}`` and ``e^{eta_i - c}``, ``c`` the tile's largest
 ``eta``, with no ``exp`` per entry; other tiles take the ``e^{-|Z|}``
 form.  The fit's starting pass is closed form in O(n d^2) per epoch, so
-a fit of k Newton steps makes k tile passes.
+a fit of k Newton steps makes k passes.
 """
 
 from __future__ import annotations
@@ -38,11 +38,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _risksets
 from .data import DiscreteSurvivalData
 from .errors import (ConvergenceError, InputError, SingularMatrixError,
                      check_settings)
 
 __all__ = ["PlogitFit", "fit_plogit", "plogit_variances"]
+
+# the power series of _PersonPeriod takes odds up to _RHO in at most
+# _TERMS terms ((M + 1) rho^M / (1 - rho)^2 <= 2^-56 at M = 12), for an
+# epoch whose rows outnumber _SERIES_GAIN x terms x subjects and whose
+# eta spread x terms stays under _SPREAD, so no power over- or underflows
+_RHO, _TERMS, _SERIES_GAIN, _SPREAD = 1.0 / 32.0, 12, 4.0, 600.0
 
 
 @dataclass
@@ -112,24 +119,25 @@ def _dense_information(a, C, F, pos, m):
 
 class _PersonPeriod:
     """The person-period rows of the intervals that carry a finite
-    intercept, visited as the dense tiles of ``RiskSets.tiles``.
+    intercept, summed by ``_series`` where ``_split`` finds the odds
+    small, else visited as the dense tiles of ``RiskSets.tiles``.
 
     Each tile holds the rows ``Z = b0_k + eta_i`` of a block of
-    consecutive included intervals ``k`` and a block of the subjects in
-    the engine's order; at entries past an interval's risk set the
-    fitted probability, its variance and ``log(1 + e^Z)`` are exactly 0.
-    Event rows enter in closed form: interval ``k``'s events are the
-    rows ``[n_k - T_k, n_k)`` of its epoch.
+    intervals ``k`` and a block of the subjects in the engine's order;
+    at entries past an interval's risk set the fitted probability, its
+    variance and ``log(1 + e^Z)`` are exactly 0.  Event rows enter in
+    closed form: interval ``k``'s events are the rows
+    ``[n_k - T_k, n_k)`` of its epoch.
     """
 
     def __init__(self, data):
         rs = self.rs = data.risk_sets
         self.live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
-        js = np.flatnonzero(self.live) + 1
-        self.K = js.size
-        self.T = rs.n_events[js - 1].astype(float)
-        self.m = rs.n_at_risk[js - 1]
-        self.epochs = list(rs.tiles(js))
+        self.js = np.flatnonzero(self.live) + 1
+        self.K = self.js.size
+        self.T = rs.n_events[self.js - 1].astype(float)
+        self.m = rs.n_at_risk[self.js - 1]
+        self.epochs = list(rs.tiles(self.js))
         # (event rows, their interval) of each epoch, and the event sum
         # of X over every included interval
         self.events = []
@@ -141,25 +149,27 @@ class _PersonPeriod:
             rows = self.m[span][at] - T[at] + rank
             self.events.append((rows, at))
             self.SD += X[rows].sum(axis=0)
-        # four arrays of the largest tile, reused by every pass, and ones
-        # to sum a tile's rows and columns with
-        shapes = [(r.stop - r.start, c.stop - c.start)
-                  for _, _, tiles in self.epochs for r, c in tiles]
-        self._scratch = np.empty((4, max((r * c for r, c in shapes),
+        # four arrays of the largest tile over any of an epoch's
+        # intervals, reused by every pass, and ones to sum a tile's rows
+        # and columns with
+        tile = [(span.stop - span.start, X.shape[0], _risksets._TILE)
+                for X, span, _ in self.epochs]
+        self._scratch = np.empty((4, max((min(t, k * m) for k, m, t in tile),
                                          default=0)))
-        self._ones = np.ones(max((max(s) for s in shapes), default=0))
+        self._ones = np.ones(max((min(t, max(k, m)) for k, m, t in tile),
+                                 default=0))
 
-    def _clear(self, A, rows, cols, value):
-        """Set the entries of tile ``A`` past each interval's risk set to
-        ``value``."""
+    def _clear(self, A, rows, cols, m, value):
+        """Set the entries of tile ``A`` past each interval's risk set
+        (sizes ``m[rows]``) to ``value``."""
         # columns before `full` lie in every row's risk set
-        full = int(self.m[rows].min()) - cols.start
+        full = int(m[rows].min()) - cols.start
         if full < A.shape[1]:
             tail = A[:, full:]
             tail[np.arange(cols.start + full, cols.stop)[None, :]
-                 >= self.m[rows, None]] = value
+                 >= m[rows, None]] = value
 
-    def _probs(self, b0, eta, rows, cols):
+    def _probs(self, b0, eta, rows, cols, m):
         """``(Z, E, Q, P)`` of one tile, in the scratch space:
         ``E = e^{-|Z|}``, ``Q = 1/(1+E)`` and the fitted probabilities
         ``P``, with ``Z = -inf`` past a risk set."""
@@ -167,7 +177,7 @@ class _PersonPeriod:
         Z, E, Q, P = (w[:shape[0] * shape[1]].reshape(shape)
                       for w in self._scratch)
         np.add(b0[rows, None], eta[None, cols], out=Z)
-        self._clear(Z, rows, cols, -np.inf)
+        self._clear(Z, rows, cols, m, -np.inf)
         np.abs(Z, out=E)
         np.negative(E, out=E)
         np.exp(E, out=E)
@@ -177,7 +187,7 @@ class _PersonPeriod:
         np.copyto(P, Q, where=Z >= 0.0)
         return Z, E, Q, P
 
-    def _tile(self, b0, eta, rows, cols, moments=True):
+    def _tile(self, b0, eta, rows, cols, m, moments=True):
         """``(P, V, log)`` of one tile, in the scratch space: the fitted
         probabilities and, with ``moments``, their variances
         ``V = P (1 - P)`` and the sum of ``log(1 + e^Z)``.
@@ -194,7 +204,7 @@ class _PersonPeriod:
         """
         c = float(eta[cols].max())
         if float(b0[rows].max()) + c > 0.0:
-            Z, E, Q, P = self._probs(b0, eta, rows, cols)
+            Z, E, Q, P = self._probs(b0, eta, rows, cols, m)
             if not moments:
                 return P, None, None
             # log(1 + e^Z) = max(Z, 0) + log1p(E); V = E Q^2
@@ -208,13 +218,107 @@ class _PersonPeriod:
                       for w in self._scratch)
         np.multiply(np.exp(b0[rows, None] + c), np.exp(eta[None, cols] - c),
                     out=E)
-        self._clear(E, rows, cols, 0.0)
+        self._clear(E, rows, cols, m, 0.0)
         np.add(E, 1.0, out=W)
         np.divide(E, W, out=P)
         if not moments:
             return P, None, None
         log = float(np.log1p(E, out=L).sum())
         return P, np.divide(P, W, out=E), log
+
+    def _split(self, b0, eta, span, tiles):
+        """``(ks, tiles, series)`` of one epoch: the intervals ``ks`` left
+        to ``tiles``, and ``(positions, M)`` of those whose odds stay at
+        most ``_RHO`` (or None), ``M`` the fewest terms that bound the
+        truncation, ``(M + 1) rho^M / (1 - rho)^2``, by ``2^-56``."""
+        m = self.m[span]
+        top = b0[span] + np.maximum.accumulate(eta)[m - 1]
+        ok = top <= np.log(_RHO)
+        if ok.any():
+            rows = int(m[ok][0])
+            rho = float(np.exp(top[ok].max()))
+            M = next(t for t in range(1, _TERMS + 1)
+                     if (t + 1) * rho ** t <= 2.0 ** -56 * (1.0 - rho) ** 2)
+            spread = float(eta[:rows].max() - eta[:rows].min())
+            if M * spread <= _SPREAD and m[ok].sum() > _SERIES_GAIN * M * rows:
+                ks = np.arange(span.start, span.stop)
+                rest = ks[~ok]
+                tiles = next(self.rs.tiles(self.js[rest]))[2] if rest.size else []
+                return rest, tiles, (ks[ok], M)
+        return np.arange(self.K), tiles, None
+
+    def _series(self, eta, X, b0, at, M, out, ratio=None):
+        """Adds each row's ``[P, V]`` (with ``ratio``, ``P [1 | ratio_k]``)
+        over the intervals at ``at`` to ``out`` and returns their
+        ``[P, log(1 + E), V, V X]`` (with ``ratio``, None), from ``M``
+        terms of ``P = sum_t s_t E^t``, ``log(1 + E) = sum_t s_t E^t / t``
+        and ``V = sum_t s_t t E^t``, ``s_t = (-1)^{t+1}``.  With
+        ``E_ki = u_k v_i``, ``u_k = e^{b0_k + c}``, ``v_i = e^{eta_i - c}``,
+        each term is ``u_k^t`` times a prefix sum of ``v^t [1 | X]``, or
+        ``v_i^t`` times a suffix sum of ``u^t [1 | ratio]``, over chunks
+        of rows and groups of terms of at most ``_TILE`` entries."""
+        m = self.m[at]
+        rows, w = int(m[0]), 1 + X.shape[1]
+        c = float(eta[:rows].max())
+        v, u = np.exp(eta[:rows] - c), np.exp(b0[at] + c)
+        t = np.arange(1.0, M + 1)
+        s = np.where(t % 2 == 1, 1.0, -1.0)
+        coef = np.stack([s, s / t, s * t])
+        g = -(-M // -(-M // max(1, _risksets._TILE // (rows * w))))
+        step = max(1, _risksets._TILE // (w * g))
+
+        def powers(x, last, k):
+            out = np.empty((k, x.size))
+            np.multiply(last, x, out=out[0])
+            for j in range(1, k):
+                np.multiply(out[j - 1], x, out=out[j])
+            return out
+
+        def chunks(los):
+            # rows lo:hi, the intervals ks whose risk sets end there, and
+            # per group ts of terms the powers of v and u on them
+            for lo in los:
+                hi = min(lo + step, rows)
+                ks = slice(*np.searchsorted(-m, [-hi, -lo]))
+                pv, pu = np.ones((1, hi - lo)), np.ones((1, ks.stop - ks.start))
+                for a in range(0, M, g):
+                    ts = slice(a, min(a + g, M))
+                    pv = powers(v[lo:hi], pv[-1], ts.stop - a)
+                    pu = powers(u[ks], pu[-1], ts.stop - a)
+                    yield lo, hi, ks, ts, pv, pu
+
+        sums, weights = None, coef[:1]
+        if ratio is None:
+            sums, weights = np.zeros((2 + w, m.size)), coef[::2]
+            carry = np.zeros((w, M))
+            for lo, hi, ks, ts, pv, pu in chunks(range(0, rows, step)):
+                buf = np.empty((w,) + pv.shape)
+                buf[0] = pv
+                np.multiply(X.T[:, None, lo:hi], pv, out=buf[1:])
+                np.cumsum(buf, axis=2, out=buf)
+                if lo:
+                    buf += carry[:, ts, None]
+                carry[:, ts] = buf[:, :, -1]
+                S = buf[:, :, m[ks] - 1 - lo]
+                S *= pu
+                sums[:2, ks] += coef[:2, ts] @ S[0]
+                sums[2:, ks] += coef[2, ts] @ S
+        carry = np.zeros((out.shape[0] // weights.shape[0], M))
+        for lo, hi, ks, ts, pv, pu in chunks(reversed(range(0, rows, step))):
+            # rows hi - 1 down to lo: cumulative sums are suffix sums
+            buf = np.zeros((carry.shape[0],) + pv.shape)
+            ends = hi - m[ks]
+            buf[0][:, ends] = pu
+            if ratio is not None:
+                buf[1:][:, :, ends] = ratio[at[ks]].T[:, None, :] * pu
+            np.cumsum(buf, axis=2, out=buf)
+            if hi < rows:
+                buf += carry[:, ts, None]
+            carry[:, ts] = buf[:, :, -1]
+            buf *= pv[:, ::-1]
+            out[:, lo:hi] += (weights[:, ts] @ buf).reshape(out.shape[0],
+                                                             -1)[:, ::-1]
+        return sums
 
     def start(self):
         """``(b0, beta, pass)`` at the start point ``beta = 0``,
@@ -248,27 +352,37 @@ class _PersonPeriod:
 
     def evaluate(self, b0, beta):
         """Log likelihood, scores and arrow-structured information blocks
-        at ``(b0, beta)`` in one pass over the tiles."""
+        at ``(b0, beta)`` in one pass over the series and the tiles."""
         d = beta.size
         loglik = float(self.T @ b0 + self.SD @ beta)
         r0, a = self.T.copy(), np.zeros(self.K)
         C = np.zeros((self.K, d))
         rb, F = self.SD.copy(), np.zeros((d, d))
-        for X, _, tiles in self.epochs:
+        for X, span, tiles in self.epochs:
             eta = X @ beta
-            col_p, col_v = np.zeros(eta.size), np.zeros(eta.size)
+            col = np.zeros((2, eta.size))  # each row's sums of P and V
+            ks, tiles, series = self._split(b0, eta, span, tiles)
+            if series is not None:
+                sums = self._series(eta, X, b0, *series, col)
+                at = series[0]
+                loglik -= float(sums[1].sum())
+                r0[at] -= sums[0]
+                a[at] += sums[2]
+                C[at] += sums[3:].T
+            bk, mk = b0[ks], self.m[ks]
             for rows, cols in tiles:
-                P, V, log = self._tile(b0, eta, rows, cols)
+                P, V, log = self._tile(bk, eta, rows, cols, mk)
                 row_sum, col_sum = (self._ones[:P.shape[1]],
                                     self._ones[:P.shape[0]])
+                at = ks[rows]
                 loglik -= log
-                r0[rows] -= P @ row_sum
-                a[rows] += V @ row_sum
-                C[rows] += V @ X[cols]
-                col_p[cols] += col_sum @ P
-                col_v[cols] += col_sum @ V
-            rb -= col_p @ X
-            F += X.T @ (X * col_v[:, None])
+                r0[at] -= P @ row_sum
+                a[at] += V @ row_sum
+                C[at] += V @ X[cols]
+                col[0, cols] += col_sum @ P
+                col[1, cols] += col_sum @ V
+            rb -= col[0] @ X
+            F += X.T @ (X * col[1][:, None])
         return _Pass(loglik, r0, rb, a, C, F)
 
     def gain(self, b0, beta, step0, step):
@@ -283,7 +397,7 @@ class _PersonPeriod:
         for X, _, tiles in self.epochs:
             eta, shift = X @ beta, X @ step
             for rows, cols in tiles:
-                Z, _, _, P = self._probs(b0, eta, rows, cols)
+                Z, _, _, P = self._probs(b0, eta, rows, cols, self.m)
                 delta = step0[rows, None] + shift[None, cols]
                 change = np.log1p(P * np.expm1(np.clip(delta, -1.0, 1.0)))
                 big = np.abs(delta) > 1.0
@@ -301,13 +415,17 @@ class _PersonPeriod:
         for (X, span, tiles), (ev_rows, ev_at) in zip(self.epochs,
                                                       self.events):
             eta = X @ beta
-            col_p = np.zeros(eta.size)
-            part = np.zeros(X.shape)
+            # each row's sums of P [1 | ratio_k] over its intervals
+            part = np.zeros((1 + beta.size, eta.size))
+            ks, tiles, series = self._split(b0, eta, span, tiles)
+            if series is not None:
+                self._series(eta, X, b0, *series, part, ratio)
+            bk, mk = b0[ks], self.m[ks]
             for rows, cols in tiles:
-                P = self._tile(b0, eta, rows, cols, moments=False)[0]
-                col_p[cols] += self._ones[:P.shape[0]] @ P
-                part[cols] += P.T @ ratio[rows]
-            part -= X * col_p[:, None]
+                P = self._tile(bk, eta, rows, cols, mk, moments=False)[0]
+                part[0, cols] += self._ones[:P.shape[0]] @ P
+                part[1:, cols] += (P.T @ ratio[ks[rows]]).T
+            part = part[1:].T - X * part[0][:, None]
             part[ev_rows] += X[ev_rows] - ratio[span][ev_at]
             q[:eta.size] += part
         out = np.empty_like(q)

@@ -1,5 +1,7 @@
-"""Invariances of the ``prob`` and ``odds`` analyses, on static data and
-on data with a step term.
+"""Invariances of the ``prob``, ``odds`` and ``plogit`` analyses: ``prob``
+and ``odds`` on static data and on data with a step term, ``plogit`` on
+an original-scale table whose passes take the power series and on a
+binned one whose passes take the tiles only.
 
 * Permuting the subjects changes no estimate or variance.
 * Shifting the covariates by ``x0`` (``recentered``) moves only the
@@ -9,17 +11,22 @@ on data with a step term.
   covariances that are sums of one term per subject or per event.  For
   the odds model these are ``mb3`` and ``robust``; its ``mb2`` meat
   holds a pair sum inside each risk set that does not double with the
-  sample, so it is left out.
+  sample, so it is left out.  Both ``plogit`` covariances halve.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dsurv import (DiscreteSurvivalData, TimeGrid, expand_step_terms, fit_beta,
-                   fit_gamma, odds_curve, prob_curve, var_model_based2,
-                   var_model_based3_odds, var_robust, var_robust_odds)
+                   fit_gamma, fit_plogit, odds_curve, plogit_variances,
+                   prob_curve, var_model_based2, var_model_based3_odds,
+                   var_robust, var_robust_odds)
+from dsurv.io import SubjectTable, build_data
+from dsurv.plogit import _PersonPeriod
 
 _RTOL = 1e-9
 
@@ -102,5 +109,65 @@ def test_duplicating_every_subject_halves_the_covariances(model, kind):
     coef_2, base_2, covs_2 = _analysis(model, _subset(data, np.tile(np.arange(data.n), 2)))
     _close(coef_2, coef)
     _close(base_2, base)
+    for got, want in zip(covs_2, covs):
+        _close(2.0 * got, want)
+
+
+def _plogit_sample(scale):
+    """300 subjects with continuous times and covariates away from the
+    origin: on the original time scale, one interval per distinct time
+    and small odds, or in 12 wide intervals."""
+    rng = np.random.default_rng(5)
+    n = 300
+    X = np.column_stack([rng.integers(0, 2, n).astype(float),
+                         rng.standard_normal(n) + 1.5])
+    t_event = rng.exponential(np.exp(-X @ np.array([0.5, -0.3])))
+    t_cens = rng.uniform(0.0, 3.0, n)
+    table = SubjectTable(ids=[str(i + 1) for i in range(n)],
+                         time=np.minimum(t_event, t_cens),
+                         status=t_event <= t_cens, covariates=X,
+                         names=["treat", "z"])
+    return build_data(table, width=None if scale == "original" else 0.25)
+
+
+def _plogit_analysis(data):
+    """``beta``, ``beta0``, both covariances and the number of power-series
+    sums the fit and its variances took."""
+    with mock.patch.object(_PersonPeriod, "_series", autospec=True,
+                           side_effect=_PersonPeriod._series) as series:
+        fit = fit_plogit(data, tol=1e-12)
+        covs = plogit_variances(data, fit)
+    return fit.beta, fit.beta0, covs, series.call_count
+
+
+@pytest.mark.parametrize("scale", ["original", "binned"])
+def test_plogit_is_invariant_to_permutation_and_location(scale):
+    data = _plogit_sample(scale)
+    beta, beta0, covs, series = _plogit_analysis(data)
+    assert (series > 0) == (scale == "original")
+    perm = np.random.default_rng(3).permutation(data.n)
+    beta_p, beta0_p, covs_p, _ = _plogit_analysis(_subset(data, perm))
+    _close(beta_p, beta)
+    _close(beta0_p, beta0)
+    for got, want in zip(covs_p, covs):
+        _close(got, want)
+    # shifting X by -x0 moves only the intercepts, by x0' beta
+    x0 = np.array([0.5, 1.5])
+    beta_s, beta0_s, covs_s, _ = _plogit_analysis(data.recentered(x0))
+    _close(beta_s, beta)
+    _close(beta0_s, beta0 + x0 @ beta)
+    for got, want in zip(covs_s, covs):
+        _close(got, want)
+
+
+@pytest.mark.parametrize("scale", ["original", "binned"])
+def test_duplicating_every_subject_halves_both_plogit_covariances(scale):
+    data = _plogit_sample(scale)
+    beta, beta0, covs, _ = _plogit_analysis(data)
+    beta_2, beta0_2, covs_2, series = _plogit_analysis(
+        _subset(data, np.tile(np.arange(data.n), 2)))
+    assert (series > 0) == (scale == "original")
+    _close(beta_2, beta)
+    _close(beta0_2, beta0)
     for got, want in zip(covs_2, covs):
         _close(2.0 * got, want)

@@ -1,4 +1,5 @@
-"""The tiled person-period kernel of ``plogit`` against the literal loop.
+"""The person-period kernel of ``plogit``, tiles and power series,
+against the literal loop.
 
 The log likelihood, the scores, the arrow-structured information blocks
 and the per-subject score rows of the robust variance are compared with
@@ -8,7 +9,12 @@ all-event and event-free intervals (both excluded from the likelihood),
 with tile budgets small enough to split tiles inside and across epochs.
 Shifted intercepts force each tile form (the outer product where every
 ``Z <= 0``, ``e^{-|Z|}`` elsewhere), and the closed-form starting pass
-is compared with a tiled pass at the same point.  A fit's dense
+is compared with a tiled pass at the same point.  Intercepts that keep
+every odds below ``_RHO``, and a cost rule patched to take it wherever
+it may, force the power-series path: at odds levels that need from one
+to all of its terms, in epochs where one interval's odds exceed the
+bound (that interval stays on tiles), with step terms, and with an
+``eta`` spread past the guard on the powers (all on tiles).  A fit's dense
 information, assembled on first access from the arrow blocks the fit
 keeps, is compared with the assembly ``fit_plogit`` once made eagerly.
 """
@@ -34,7 +40,7 @@ from dsurv import (ConvergenceError, DiscreteSurvivalData, SimScenario,
 from dsurv import _risksets, plogit
 from dsurv.cli import main
 from dsurv.io import SubjectTable, build_data, read_subject_csv
-from dsurv.plogit import _PersonPeriod
+from dsurv.plogit import _RHO, _SPREAD, _TERMS, _PersonPeriod
 
 _RTOL = 1e-10
 
@@ -103,10 +109,12 @@ def _loglik_terms(data, b0, beta):
 
 @contextlib.contextmanager
 def _paths():
-    """Count the tiles by path: ``"tiles"`` all of them, ``"probs"`` those
-    that took the ``e^{-|Z|}`` form rather than the outer product."""
-    counts = {"tiles": 0, "probs": 0}
-    tile, probs = _PersonPeriod._tile, _PersonPeriod._probs
+    """Count the sums by path: ``"tiles"`` all tiles, ``"probs"`` those
+    that took the ``e^{-|Z|}`` form rather than the outer product, and
+    ``"series"`` the epochs summed by the power series."""
+    counts = {"tiles": 0, "probs": 0, "series": 0}
+    tile, probs, series = (_PersonPeriod._tile, _PersonPeriod._probs,
+                           _PersonPeriod._series)
 
     def counted_tile(self, *args, **kwargs):
         counts["tiles"] += 1
@@ -116,8 +124,13 @@ def _paths():
         counts["probs"] += 1
         return probs(self, *args)
 
+    def counted_series(self, *args):
+        counts["series"] += 1
+        return series(self, *args)
+
     with mock.patch.object(_PersonPeriod, "_tile", counted_tile), \
-            mock.patch.object(_PersonPeriod, "_probs", counted_probs):
+            mock.patch.object(_PersonPeriod, "_probs", counted_probs), \
+            mock.patch.object(_PersonPeriod, "_series", counted_series):
         yield counts
 
 
@@ -193,6 +206,115 @@ def test_a_positive_row_with_a_wide_eta_spread_is_not_an_outer_product():
     np.testing.assert_allclose(got.a, a, rtol=_RTOL)
     np.testing.assert_allclose(got.C / got.a[:, None], C / a[:, None],
                                rtol=_RTOL)
+
+
+def _intercepts_at(data, beta, top):
+    """Intercepts that give included interval ``k`` the largest odds
+    ``top[k]`` over its risk set."""
+    _, triples = o.plogit_person_period(data)
+    return np.log(top) - np.array([float(np.max(X @ beta))
+                                   for _, X, _ in triples])
+
+
+def _series_check(data, b0, beta, budget=2 ** 16):
+    """``_check_against_the_loop`` with the series taken wherever the
+    odds and the guard on the powers let it."""
+    with mock.patch.object(plogit, "_SERIES_GAIN", 0.0):
+        return _check_against_the_loop(data, b0, beta, budget)
+
+
+def _small_design(seed, n=40, J=8, d=3):
+    """(data, beta): ties, event-free and y = 0 subjects."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, J + 1, n)
+    delta = (rng.random(n) < 0.6) & (y > 0)
+    y[:2], delta[:2] = [1, J], [True, False]
+    data = DiscreteSurvivalData.from_arrays(TimeGrid(np.arange(1.0, J + 1)),
+                                            y, delta, rng.normal(size=(n, d)))
+    return data, rng.normal(scale=0.8, size=d)
+
+
+@_SETTINGS
+@given(designs(), st.sampled_from([_RHO, 1e-3, 1e-9, 1e-20]))
+def test_the_series_pass_and_score_rows_match_the_loop(case, level):
+    # every odds at most `level`: the series takes every interval of an
+    # epoch whose eta spread keeps the powers in range, in one term at
+    # 1e-20 and up to _TERMS at _RHO
+    data, b0, beta, budget = case
+    b0 = _intercepts_at(data, beta, level * np.exp(-np.abs(b0)))
+    counts, _, _ = _series_check(data, b0, beta, budget)
+    eta = np.stack([data.covariates_at(j) @ beta
+                    for j in range(1, data.n_intervals + 1)])
+    if _TERMS * (eta.max() - eta.min()) <= _SPREAD:
+        assert counts["series"] > 0 and counts["tiles"] == 0
+
+
+@pytest.mark.parametrize("level", [1e-9, 1e-3, _RHO])
+def test_the_series_terms_bound_the_truncation_below_rounding(level):
+    # sums of positive terms, and C_k / a_k a weighted mean of X, are
+    # compared relative to their own size, so one term too few shows:
+    # at odds up to 1e-9 the series takes two terms, and one alone would
+    # leave a relative error of 2e-9 in a_k
+    for seed in range(3):
+        data, beta = _small_design(seed)
+        top = level * np.exp(-np.random.default_rng(seed).exponential(
+            size=int(o.plogit_person_period(data)[0].sum())))
+        top[0] = level
+        counts, got, (a, C) = _series_check(
+            data, _intercepts_at(data, beta, top), beta)
+        assert counts["series"] == 2 and counts["tiles"] == 0
+        np.testing.assert_allclose(got.a, a, rtol=_RTOL)
+        np.testing.assert_allclose(got.C / got.a[:, None], C / a[:, None],
+                                   rtol=_RTOL, atol=_RTOL)
+
+
+@pytest.mark.parametrize("excess", [1.01, 100.0])
+def test_an_interval_above_the_bound_stays_on_the_tiles(excess):
+    # one epoch whose intervals all have odds below _RHO but one, in the
+    # middle, whose largest odds are `excess` times _RHO: the series
+    # takes the others, and that one goes to a tile
+    for seed in range(3):
+        data, beta = _small_design(seed)
+        K = int(o.plogit_person_period(data)[0].sum())
+        top = 0.5 * _RHO * np.exp(-np.random.default_rng(seed).exponential(
+            size=K))
+        top[K // 2] = excess * _RHO
+        counts, _, _ = _series_check(data, _intercepts_at(data, beta, top),
+                                     beta)
+        assert counts["series"] == 2 and counts["tiles"] > 0
+
+
+@pytest.mark.parametrize("spread", [40.0, 700.0])
+def test_an_eta_spread_past_the_guard_stays_on_the_tiles(spread):
+    # odds at most 1e-3, so up to six terms: at an eta spread of 40 the
+    # powers u^t and v^t reach e^{+-240} and the series is taken; past
+    # _SPREAD even one term could overflow u or underflow v, and every
+    # interval goes to the tiles
+    data, beta = _small_design(0, d=1)
+    X = np.linspace(-0.5, 0.5, data.n)[:, None] * spread
+    data = DiscreteSurvivalData.from_arrays(data.grid, data.y, data.delta, X)
+    beta = np.ones(1)
+    K = int(o.plogit_person_period(data)[0].sum())
+    top = 1e-3 * np.exp(-np.random.default_rng(1).exponential(size=K))
+    counts, _, _ = _series_check(data, _intercepts_at(data, beta, top), beta)
+    if spread > _SPREAD:
+        assert counts["series"] == 0 and counts["tiles"] > 0
+    else:
+        assert counts["series"] == 2 and counts["tiles"] == 0
+
+
+def test_each_step_term_epoch_takes_the_series():
+    # veterans data on the original scale with step terms at 100 and 200
+    # days: three epochs, each summed by the series at odds below 1e-3
+    path = pathlib.Path(__file__).resolve().parents[1] / "data" / "veteran.csv"
+    table = read_subject_csv(path)
+    data = expand_step_terms(build_data(table), table.names.index("treat"),
+                             [100.0, 200.0])
+    beta = np.random.default_rng(2).normal(scale=0.02, size=data.d)
+    K = int(o.plogit_person_period(data)[0].sum())
+    top = 1e-3 * np.exp(-np.random.default_rng(3).exponential(size=K))
+    counts, _, _ = _series_check(data, _intercepts_at(data, beta, top), beta)
+    assert counts["series"] == 2 * 3 and counts["tiles"] == 0
 
 
 def _check_start(data, budget=2 ** 16):
@@ -394,9 +516,9 @@ def test_extreme_linear_predictors_give_a_finite_fit_or_a_clean_error(scale):
 
 def test_original_scale_plogit_memory_is_bounded_by_the_tile():
     # one interval per distinct time at n = 2e4: the person-period rows
-    # number about 1e8, far beyond this bound.  The information matrix
-    # the fit returns is dense even in the compact layout, (K + d)^2 for
-    # K included intervals, and is left out of the count
+    # number about 1e8, far beyond this bound.  The compact layout's
+    # dense information, (K + d)^2 for K included intervals, is built
+    # only when fit.fisher is read, which neither call does
     n = 20_000
     rng = np.random.default_rng(np.random.SeedSequence([7, n]))
     X = np.column_stack([rng.integers(0, 2, n).astype(float),
@@ -413,7 +535,7 @@ def test_original_scale_plogit_memory_is_bounded_by_the_tile():
     try:
         fit = fit_plogit(data, full_fisher=False)
         plogit_variances(data, fit)
-        peak = tracemalloc.get_traced_memory()[1] - fit.fisher.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
