@@ -34,10 +34,22 @@ origin where a caller needs it.
 
 Each dataset has one engine (``DiscreteSurvivalData.risk_sets``), which
 every fit, variance, influence row and curve on it shares.  The engine
-keeps its last full (order-2, payload-free) aggregates, keyed by the
-exact coefficients: a Newton step's accepted candidate is the next
-iterate's pass, and a variance or curve at a fit's estimate reads the
-pass the fit ended on.
+keeps a few results in a store of one entry per slot, each under the
+exact coefficients (or settings) it was computed at, so that an
+analysis computes each of them once:
+
+* its last full (order-2, payload-free) aggregates: a Newton step's
+  accepted candidate is the next iterate's pass;
+* per model (``"prob"``, ``"odds"``), the full pass the last fit of that
+  model returned from, which its variances read after the other model's
+  fit has made passes of its own;
+* the ``prob`` fit's converged root under its ``(tol, max_iter)``, the
+  default start of the ``odds`` fit;
+* per model, the influence rows at one coefficient vector, which the
+  robust variance and the curve share (read-only).
+
+The same store keeps, per epoch, positions that depend on the layout
+alone: the interval each row of the epoch sums through.
 """
 
 from __future__ import annotations
@@ -325,8 +337,8 @@ class RiskSets:
                 center = X[:lay.rows].mean(axis=0)
                 Xc = X[:lay.rows] - center
             self._epochs.append((int(lo), int(hi), X, lay, center, Xc))
-        # (coefficient bytes, squares, Aggregates) of the last full pass
-        self._last = None
+        # slot -> (key, value); see the module docstring
+        self._kept = {}
 
     def interval(self, j: int, coef: np.ndarray):
         """Risk set of interval ``j``: (member indices, X, D, eta).
@@ -392,21 +404,47 @@ class RiskSets:
         agg = Aggregates(k=ks, T=self.n_events[ks - 1].astype(float),
                          m=self.n_at_risk[ks - 1].astype(float), **merged)
         if order == 2 and payload is None:
-            self._last = (coef.tobytes(), squares, agg)
+            self.keep("pass", coef.tobytes(), (squares, agg))
         return agg
+
+    def recall(self, slot, key):
+        """The value kept in ``slot`` under ``key``, else ``None``."""
+        held = self._kept.get(slot)
+        if held is not None and held[0] == key:
+            return held[1]
+        return None
+
+    def keep(self, slot, key, value):
+        """Keep ``value`` in ``slot`` under ``key``, in place of the
+        slot's previous entry."""
+        self._kept[slot] = (key, value)
+
+    def _kept_pass(self, key, squares):
+        """The kept ``(squares, Aggregates)`` of a full pass under ``key``
+        that holds the ``w^2`` sums through ``squares``, else ``None``."""
+        for slot in ("pass", ("pass", "prob"), ("pass", "odds")):
+            held = self.recall(slot, key)
+            if held is not None and (squares is None or (
+                    held[0] is not None and held[0] >= squares)):
+                return held
+        return None
 
     def full(self, coef, squares: int | None = None) -> Aggregates:
         """Order-2 aggregates at ``coef`` with ``w^2`` sums through
-        ``squares``: the last full pass when it was at these exact
-        coefficients and holds those sums, else a new pass.  Callers
-        share the returned object and must not change it."""
+        ``squares``: a kept full pass at these exact coefficients that
+        holds those sums, else a new pass.  Callers share the returned
+        object and must not change it."""
         coef = np.asarray(coef, dtype=float)
-        if self._last is not None:
-            key, have, agg = self._last
-            if key == coef.tobytes() and (squares is None or (
-                    have is not None and have >= squares)):
-                return agg
+        held = self._kept_pass(coef.tobytes(), squares)
+        if held is not None:
+            return held[1]
         return self.aggregates(coef, squares=squares)
+
+    def hold(self, model, coef):
+        """Keep the full pass at ``coef``, which the caller has just
+        read, as ``model``'s: the pass that model's fit returned from."""
+        key = np.asarray(coef, dtype=float).tobytes()
+        self.keep(("pass", model), key, self._kept_pass(key, None))
 
     def s0_change(self, coef, step):
         """``S0(coef + step) / S0(coef) - 1`` for every event interval,
@@ -455,12 +493,13 @@ class RiskSets:
         B = np.asarray(B, dtype=float)
         out = np.zeros((self.n, B.shape[1]))
         for lo, hi, lay, center, Xc, sel in self._live_epochs():
-            rows = lay.rows
-            y, delta = self._y[:rows], self._delta[:rows]
-            own = delta & (y <= hi)
+            # a bound past the epoch keeps all of it, one at or before
+            # its start none of it
+            cut = before if before is not None and before <= hi else None
+            if cut is not None and cut <= lo:
+                continue
+            take, at = self._sum_positions(lo, hi, lay, span, cut)
             if span == "event":
-                take = np.flatnonzero(own)
-                at = np.searchsorted(lay.ks, y[take])
                 vals = B[sel][at]
                 if a is not None:
                     vals = a[sel][at, None] * Xc[take] + vals
@@ -469,14 +508,6 @@ class RiskSets:
                                          + log_weight[sel][at])[:, None]
                 out[take] += vals
                 continue
-            last = np.minimum(y, hi)
-            if span == "before_event":
-                last = last - own
-            if before is not None:
-                last = np.minimum(last, before - 1)
-            at = np.searchsorted(lay.ks, last, side="right") - 1
-            take = np.flatnonzero(at >= 0)
-            at = at[take]
             V = B[sel] if a is None else np.column_stack([a[sel], B[sel]])
             if log_weight is None:
                 cum, top = np.cumsum(V, axis=0), np.zeros(V.shape[0])
@@ -492,18 +523,47 @@ class RiskSets:
         result[self.order] = out
         return result
 
+    def _sum_positions(self, lo, hi, lay, span, before):
+        """``(take, at)`` of ``subject_sums`` in the epoch ``lo..hi``: the
+        rows, in the engine's order, that sum over some of its event
+        intervals, and the index in ``lay.ks`` of the last interval each
+        sums through (its own event interval for ``span="event"``).
+        They depend on the layout alone, so each is computed once and
+        kept in the narrowest integer type that holds the epoch's rows."""
+        slot = ("positions", lo, span)
+        got = self.recall(slot, before)
+        if got is None:
+            y, delta = self._y[:lay.rows], self._delta[:lay.rows]
+            own = delta & (y <= hi)
+            if span == "event":
+                if before is not None:
+                    own = own & (y < before)
+                take = np.flatnonzero(own)
+                at = np.searchsorted(lay.ks, y[take])
+            else:
+                last = np.minimum(y, hi)
+                if span == "before_event":
+                    last = last - own
+                if before is not None:
+                    last = np.minimum(last, before - 1)
+                at = np.searchsorted(lay.ks, last, side="right") - 1
+                take = np.flatnonzero(at >= 0)
+                at = at[take]
+            index = np.min_scalar_type(lay.rows)
+            got = (take.astype(index), at.astype(index))
+            self.keep(slot, before, got)
+        return got
+
     def count_positive(self, coef, g):
         """Number of pairs (event interval k, member i of its risk set)
         with ``eta_ik + g_k > 0``, ``eta`` the true linear predictor."""
         coef = np.asarray(coef, dtype=float)
         count = 0
         for lo, hi, lay, center, Xc, sel in self._live_epochs():
-            eta = Xc @ coef + float(center @ coef)
             gk = g[sel]
-            at = np.searchsorted(lay.ks, np.minimum(self._y[:lay.rows], hi),
-                                 side="right") - 1
-            reach = np.maximum.accumulate(gk)[np.maximum(at, 0)]
-            cand = np.flatnonzero((at >= 0) & (eta + reach > 0))
+            take, at = self._sum_positions(lo, hi, lay, "all", None)
+            eta = (Xc @ coef + float(center @ coef))[take]
+            cand = np.flatnonzero(eta + np.maximum.accumulate(gk)[at] > 0)
             # the few candidates are counted exactly, a bounded chunk at a time
             step = max(1, _TILE // gk.size)
             for s in range(0, cand.size, step):

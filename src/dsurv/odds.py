@@ -35,9 +35,10 @@ import numpy as np
 from .data import DiscreteSurvivalData
 from .errors import (ConvergenceError, InputError, SingularMatrixError,
                      check_settings)
-from .prob import (ProbInfluence, VarianceEstimate, _col, _mean_terms, _outer,
-                   _sandwich, _solve_spd, _symmetric, fit_gamma, var_model_based,
-                   var_model_based2, var_oldstyle, var_robust)
+from .prob import (ProbInfluence, VarianceEstimate, _col, _kept_rows,
+                   _mean_terms, _outer, _sandwich, _solve_spd, _symmetric,
+                   fit_gamma, var_model_based, var_model_based2, var_oldstyle,
+                   var_robust)
 
 __all__ = [
     "OddsFit",
@@ -243,9 +244,12 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     Steps use the sample Jacobian analog ``H_hat`` with backtracking on
     the residual 2-norm; convergence requires the max-abs 1/n-scaled
     score component to fall below ``tol``.  The default start is the
-    hazard-probability estimate (the two roots are typically close);
-    pass ``init`` to override, or ``multistart=True`` to also solve from
-    zero and warn if the roots disagree.
+    hazard-probability estimate (the two roots are typically close): the
+    root of the last ``fit_gamma`` on this dataset at the same ``tol``
+    and ``max_iter``, which the engine keeps, else a new ``fit_gamma``
+    solve, else zero when that solve fails.  Pass ``init`` to override,
+    or ``multistart=True`` to also solve from zero and warn if the roots
+    disagree.
 
     Raises
     ------
@@ -275,11 +279,14 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     if init is not None:
         starts = [("user-supplied", np.asarray(init, dtype=float))]
     else:
-        try:
-            gamma = fit_gamma(data, tol=tol, max_iter=max_iter).gamma
-            starts = [("breslow-peto", gamma)]
-        except (ConvergenceError, SingularMatrixError):
-            starts = [("zero (breslow-peto start unavailable)", np.zeros(d))]
+        gamma = rs.recall(("root", "prob"), (tol, max_iter))
+        if gamma is None:
+            try:
+                gamma = fit_gamma(data, tol=tol, max_iter=max_iter).gamma
+            except (ConvergenceError, SingularMatrixError):
+                pass
+        starts = [("breslow-peto", gamma) if gamma is not None
+                  else ("zero (breslow-peto start unavailable)", np.zeros(d))]
     if multistart:
         starts.append(("zero", np.zeros(d)))
 
@@ -314,6 +321,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
             f"{n_all_events} risk set(s) consist entirely of events; "
             "their baseline log-odds are +inf and they contribute nothing to the fit")
     a = rs.full(beta)
+    rs.hold("odds", beta)
     beta0 = _baselines(a, data.n_intervals)
     jac = jacobian_odds_terms(a.mixed).sum(axis=0) / n
     return OddsFit(beta=beta, beta0=beta0, jacobian=jac, score_norm=score_norm,
@@ -327,7 +335,12 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
 def _influence_rows_odds(rs, beta):
     """Rows ``g_i``: over the mixed risk sets up to ``y_i``, subject i's
     event-free terms ``-(w_i/S0)[T (X_i - me) - (Tw/S0d) tau]`` as one
-    cumulative sum, plus its event term ``(S0d/S0)(X_i - me) - (w_i/S0) tau``."""
+    cumulative sum, plus its event term ``(S0d/S0)(X_i - me) - (w_i/S0) tau``.
+    Read-only: the engine keeps them for the variance and the curve."""
+    return _kept_rows(rs, "odds", beta, _odds_rows)
+
+
+def _odds_rows(rs, beta):
     a = rs.full(beta)
     mixed = a.T < a.m
     me = a.me
@@ -352,7 +365,8 @@ def _influence_rows_odds(rs, beta):
 
 def influence_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsInfluence:
     """Per-subject influence sums ``g_i`` entering the robust sandwich."""
-    return OddsInfluence(total=_influence_rows_odds(data.risk_sets, fit.beta))
+    return OddsInfluence(
+        total=_influence_rows_odds(data.risk_sets, fit.beta).copy())
 
 
 def var_robust_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:

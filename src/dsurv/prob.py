@@ -240,7 +240,9 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
     the next step's score and Hessian.  A candidate whose objective does
     not exceed the current one is still taken when its gain, summed from
     the step (``_gain``), is positive: near the optimum the gain falls
-    below the rounding of the objective itself.
+    below the rounding of the objective itself.  The dataset's engine
+    keeps the root (the default start of ``fit_beta`` at the same
+    settings) and the pass it gave.
 
     Raises
     ------
@@ -290,6 +292,8 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
                 "fit_gamma: divergence (monotone likelihood suspected)",
                 iterations=it + 1, score_norm=score_norm)
 
+    rs.hold("prob", gamma)
+    rs.keep(("root", "prob"), (tol, max_iter), gamma.copy())
     hess = hessian_terms(a).sum(axis=0) / n
     gamma0 = _baselines(a, data.n_intervals)
     warnings = []
@@ -310,9 +314,19 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
 # variance estimators
 # ---------------------------------------------------------------------------
 
-def _influence_rows(rs, gamma):
-    """Rows ``h_i = sum_{j <= y_i} (D_ij - T_j w_ij / S0_j)(X_ij - xbar_j)``:
-    the event term at ``y_i`` plus one cumulative sum over intervals."""
+def _kept_rows(rs, model, coef, make):
+    """``make(rs, coef)``, kept read-only on the engine as ``model``'s
+    influence rows at these exact coefficients."""
+    key = np.asarray(coef, dtype=float).tobytes()
+    rows = rs.recall(("rows", model), key)
+    if rows is None:
+        rows = make(rs, coef)
+        rows.flags.writeable = False
+        rs.keep(("rows", model), key, rows)
+    return rows
+
+
+def _prob_rows(rs, gamma):
     a = rs.full(gamma)
     xbar = _xbar(a)
     ones = np.ones(a.T.size)
@@ -321,9 +335,16 @@ def _influence_rows(rs, gamma):
     return rows + rs.subject_sums(gamma, -xbar, a=ones, span="event")
 
 
+def _influence_rows(rs, gamma):
+    """Rows ``h_i = sum_{j <= y_i} (D_ij - T_j w_ij / S0_j)(X_ij - xbar_j)``:
+    the event term at ``y_i`` plus one cumulative sum over intervals.
+    Read-only: the engine keeps them for the variance and the curve."""
+    return _kept_rows(rs, "prob", gamma, _prob_rows)
+
+
 def influence_prob(data: DiscreteSurvivalData, fit: ProbFit) -> ProbInfluence:
     """Per-subject influence sums ``h_i`` entering the robust sandwich."""
-    return ProbInfluence(total=_influence_rows(data.risk_sets, fit.gamma))
+    return ProbInfluence(total=_influence_rows(data.risk_sets, fit.gamma).copy())
 
 
 def _sandwich(bread, meat, n, kind, transpose_right=False):

@@ -201,6 +201,11 @@ def _small_risk_warning(rs):
     return []
 
 
+# per-interval flags by 2 * (survival <= 0) + (standard errors undefined)
+_FLAGS = np.array(["", "se_undefined", "nonpositive_survival",
+                   "nonpositive_survival;se_undefined"], dtype=object)
+
+
 def _finish(model, hazards, survival, cumhaz, var_rob, var_mb, nan_from,
             warnings, work):
     J = hazards.size
@@ -209,14 +214,10 @@ def _finish(model, hazards, survival, cumhaz, var_rob, var_mb, nan_from,
     if nan_from is not None:
         se_log_rob[nan_from - 1:] = np.nan
         se_log_mb[nan_from - 1:] = np.nan
-    flags = []
-    for k in range(1, J + 1):
-        marks = []
-        if survival[k - 1] <= 0.0:
-            marks.append("nonpositive_survival")
-        if nan_from is not None and k >= nan_from:
-            marks.append("se_undefined")
-        flags.append(";".join(marks))
+    undefined = np.zeros(J, dtype=int)
+    if nan_from is not None:
+        undefined[nan_from - 1:] = 1
+    flags = _FLAGS[2 * (survival <= 0.0) + undefined].tolist()
     return SurvivalCurve(
         model=model, hazards=hazards, survival=survival, cumhaz=cumhaz,
         se_log_surv_robust=se_log_rob, se_log_surv_model_based=se_log_mb,

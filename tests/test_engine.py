@@ -6,6 +6,11 @@
 * A variance, influence, baseline or curve computed after a fit, which
   may read the pass the fit ended on, equals the same call on a fresh
   copy of the dataset.
+* An analysis computes each estimate once: ``fit_beta`` starts from the
+  root ``fit_gamma`` left on the engine at the same settings, the
+  variances read the pass each fit returned from, and the robust
+  variance and the curve share one set of influence rows, which the
+  public ``influence_*`` functions hand out as copies.
 * ``prob._gain`` is the objective change of a step, and keeps its
   precision for steps whose gain is far below the objective's rounding,
   so the line search of ``fit_gamma`` does not stall on that rounding.
@@ -36,9 +41,10 @@ from dsurv import (ConvergenceError, DiscreteSurvivalData, InputError, OddsFit,
                    var_model_based2, var_model_based2_odds,
                    var_model_based3_odds, var_model_based_odds, var_oldstyle,
                    var_robust, var_robust_odds, wmh_two_sample)
-from dsurv import prob
+from dsurv import odds, prob
 from dsurv._risksets import RiskSets
 from dsurv.cli import main
+from dsurv.io import SubjectTable, build_data
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -216,6 +222,160 @@ def test_a_recentered_copy_has_its_own_engine():
     assert data.risk_sets is data.risk_sets
     _check_reuse("prob", shifted)
     _check_reuse("odds", shifted)
+
+
+# ---------------------------------------------------------------------------
+# each estimate once per dataset
+# ---------------------------------------------------------------------------
+
+def _untied_table(n=200, seed=5):
+    """Continuous times, no ties: one interval per distinct time, as in
+    an original-scale analysis."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    X = np.column_stack([rng.integers(0, 2, n).astype(float),
+                         rng.standard_normal((n, 2))])
+    t_event = rng.exponential(np.exp(-X @ np.array([0.5, -0.3, 0.2])))
+    t_cens = rng.uniform(0.0, 3.0, n)
+    return SubjectTable(ids=[str(i + 1) for i in range(n)],
+                        time=np.minimum(t_event, t_cens),
+                        status=t_event <= t_cens, covariates=X,
+                        names=["treat", "z1", "z2"])
+
+
+def _counted_gamma_fits(monkeypatch):
+    calls = []
+
+    def counted(data, **kwargs):
+        calls.append(kwargs)
+        return fit_gamma(data, **kwargs)
+
+    monkeypatch.setattr(odds, "fit_gamma", counted)
+    return calls
+
+
+def _same_odds_fit(got, want):
+    assert got.init == want.init
+    assert got.iterations == want.iterations
+    for name in ("beta", "beta0", "jacobian"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("kind", ["static", "step"])
+def test_fit_beta_starts_from_the_root_fit_gamma_left(kind, monkeypatch):
+    data = _sample(kind)
+    pfit = fit_gamma(data)
+    pfit.gamma += 1.0  # the engine keeps its own copy of the root
+    calls = _counted_gamma_fits(monkeypatch)
+    ofit = fit_beta(data)
+    assert calls == []
+    want = fit_beta(_fresh(data))
+    assert len(calls) == 1
+    _same_odds_fit(ofit, want)
+    assert ofit.init == "breslow-peto"
+
+
+@pytest.mark.parametrize("settings", [{"tol": 1e-7}, {"max_iter": 30}])
+def test_fit_beta_solves_again_at_other_settings(settings, monkeypatch):
+    data = _sample("static")
+    fit_gamma(data)
+    calls = _counted_gamma_fits(monkeypatch)
+    ofit = fit_beta(data, **settings)
+    assert calls == [dict({"tol": 1e-9, "max_iter": 50}, **settings)]
+    # the new solve left its own root, which the next call reads
+    _same_odds_fit(fit_beta(data, **settings), ofit)
+    assert len(calls) == 1
+    _same_odds_fit(ofit, fit_beta(_fresh(data), **settings))
+
+
+def test_fit_beta_starts_from_zero_when_no_root_can_be_solved(monkeypatch):
+    def fails(data, **kwargs):
+        raise ConvergenceError("no root", iterations=1, score_norm=1.0)
+
+    monkeypatch.setattr(odds, "fit_gamma", fails)
+    data = _sample("static")
+    fit = fit_beta(data)
+    assert fit.init == "zero (breslow-peto start unavailable)"
+    zero = fit_beta(_fresh(data), init=np.zeros(data.d))
+    assert fit.iterations == zero.iterations
+    np.testing.assert_array_equal(fit.beta, zero.beta)
+
+
+@pytest.mark.parametrize("width, steps", [(None, 0), (0.25, 3)],
+                         ids=["original", "binned"])
+def test_an_analysis_makes_a_pinned_number_of_passes(width, steps, counts):
+    # the sequence of an analysis: both fits, plogit, their variances and
+    # both curves; without ties the bp root is also the wmh root
+    data = build_data(_untied_table(), width=width)
+    x0 = np.ones(data.d)
+    pfit = fit_gamma(data)
+    assert (pfit.iterations, counts["passes"]) == (3, 4)  # start + 3 steps
+    ofit = fit_beta(data)  # from the kept root, whose pass is kept too
+    assert (ofit.iterations, counts["passes"]) == (steps, 4 + steps)
+    lfit = fit_plogit(data)
+    pmb2 = var_model_based2(data, pfit)
+    var_robust(data, pfit)
+    omb2 = var_model_based2_odds(data, ofit)
+    var_robust_odds(data, ofit)
+    plogit_variances(data, lfit)
+    assert counts["passes"] == 4 + steps  # each reads its fit's last pass
+    var_model_based3_odds(data, ofit)  # the w^2 sums: one pass
+    prob_curve(data, pfit, x0=x0, variance=pmb2)  # one payload pass each
+    odds_curve(data, ofit, x0=x0, variance=omb2)
+    assert counts["passes"] == 7 + steps
+    assert counts["builds"] == 1
+
+
+@pytest.mark.parametrize("first", ["prob", "odds"])
+def test_each_fit_keeps_its_last_pass_through_the_other_fit(first, counts):
+    data = _sample("step")
+    fits = {}
+    for model in (first, "odds" if first == "prob" else "prob"):
+        fits[model] = (fit_gamma(data) if model == "prob"
+                       else fit_beta(data, init=np.zeros(data.d)))
+    made = counts["passes"]
+    var_model_based2(data, fits["prob"])
+    var_model_based2_odds(data, fits["odds"])
+    var_robust(data, fits["prob"])
+    var_robust_odds(data, fits["odds"])
+    assert counts["passes"] == made
+
+
+@pytest.mark.parametrize("first", ["prob", "odds"])
+@pytest.mark.parametrize("kind", ["static", "step"])
+def test_both_models_on_one_dataset_equal_fresh_copies(kind, first):
+    data = _sample(kind)
+    fits = {"prob": fit_gamma(data), "odds": fit_beta(data)}
+    order = [first, "odds" if first == "prob" else "prob"]
+    for model in order + order:  # each after the other, then again
+        for call in _CALLS[model]:
+            got = _values(call(data, fits[model]))
+            want = _values(call(_fresh(data), fits[model]))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
+def test_changing_returned_influence_rows_changes_no_later_result():
+    data = _sample("step")
+    pfit, ofit = fit_gamma(data), fit_beta(data)
+    x0 = _X0[:data.d]
+    calls = [lambda: var_robust(data, pfit), lambda: var_robust_odds(data, ofit),
+             lambda: prob_curve(data, pfit, x0=x0),
+             lambda: odds_curve(data, ofit, x0=x0)]
+    before = [_values(call()) for call in calls]
+    # the rows they share are read-only
+    assert not prob._influence_rows(data.risk_sets, pfit.gamma).flags.writeable
+    assert not odds._influence_rows_odds(data.risk_sets,
+                                         ofit.beta).flags.writeable
+    for influence, fit in ((influence_prob, pfit), (influence_odds, ofit)):
+        rows = influence(data, fit).total
+        assert rows.flags.writeable
+        kept = rows.copy()
+        rows *= 10.0
+        np.testing.assert_array_equal(influence(data, fit).total, kept)
+    for call, want in zip(calls, before):
+        for g, w in zip(_values(call()), want):
+            np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
