@@ -8,15 +8,14 @@ aggregate is a cumulative sum over that order read at two boundaries
 per event interval (the reverse-cumulative-sum recipe of Cox-model
 software).  The rows are cut into blocks at those boundaries, each block
 is summed once with ``np.add.reduceat`` and the block sums are
-accumulated: a call costs O(n d^2) time and O(n d + K d^2) memory for K
-event intervals, never O(n d^2) memory.  One moment pass writes
+accumulated: a pass costs O(n d) time and memory.  It writes
 ``[w | w X]`` into one buffer and block-sums it with one call into one
-``(blocks, width)`` array; a payload's sums ``w Z`` and the products
-``(w X_a) X`` follow into the same array's columns, the products in
-groups of ``a`` whose buffer holds at most ``_TILE`` entries (all
-``d^2`` columns in one call for a small dataset, one ``a`` per call for
-a large one).  Each column is summed on its own, so every grouping
-gives the same bits.
+``(blocks, width)`` array, a payload's sums ``w Z`` into further
+columns, each summed on its own.  No per-interval d x d sum is formed:
+the models need only ``sum_k c_k S2_k`` (and the like over event-free
+members, events and ``w^2`` weights), which is ``sum_i w_i C_i X_i X_i'``
+with ``C`` one cumulative sum of ``c`` over the intervals, so one
+``Xc' diag(u) Xc`` per epoch (``Aggregates.contract``).
 
 Exponential weights are shifted by the largest linear predictor among
 the rows summed so far, which for a risk set is the per-interval
@@ -38,8 +37,8 @@ keeps a few results in a store of one entry per slot, each under the
 exact coefficients (or settings) it was computed at, so that an
 analysis computes each of them once:
 
-* its last full (order-2, payload-free) aggregates: a Newton step's
-  accepted candidate is the next iterate's pass;
+* its last full (payload-free) pass: a Newton step's accepted candidate
+  is the next iterate's pass;
 * per model (``"prob"``, ``"odds"``), the full pass the last fit of that
   model returned from, which its variances read after the other model's
   fit has made passes of its own;
@@ -120,17 +119,18 @@ class Aggregates:
     ``w = e^{eta - shift}``, with ``eta`` the centred linear predictor
     and ``shift`` its largest value in the risk set; the true linear
     predictor is ``eta + offset``.  Names follow the kernels of the
-    estimating equations: ``S0, S1, S2`` sum ``w, w X, w X X'`` over the
-    risk set, ``s0d, M1, M2`` over its event-free members and
-    ``Tw, SDw1, SDw2`` over its events; ``SD1`` is the unweighted event
-    sum.  ``Q*`` (risk set), ``Qf*`` (event-free) and ``Qe0`` (events)
-    weight by ``w^2``; ``Z, Zf, Ze`` are the ``w``-weighted sums of a
-    per-subject payload.  ``log_s0`` and ``log_s0d`` are the true-scale
-    logs of ``sum e^{eta}`` over the risk set and its event-free part,
-    and ``me = M1 / s0d`` is the event-free weighted mean, read at the
-    event-free part's own scale so that it stays finite where ``s0d``
-    underflows (0 without event-free members).  Sums a call did not
-    request are ``None``.
+    estimating equations: ``S0, S1`` sum ``w, w X`` over the risk set,
+    ``s0d, M1`` over its event-free members and ``Tw, SDw1`` over its
+    events; ``SD1`` is the unweighted event sum.  ``Q0, Q1`` (risk set),
+    ``Qf0, Qf1`` (event-free) and ``Qe0`` (events) weight by ``w^2``;
+    ``Z, Zf, Ze`` are the ``w``-weighted sums of a per-subject payload.
+    ``log_s0`` and ``log_s0d`` are the true-scale logs of ``sum e^{eta}``
+    over the risk set and its event-free part, and ``me = M1 / s0d`` is
+    the event-free weighted mean, read at the event-free part's own
+    scale so that it stays finite where ``s0d`` underflows (0 without
+    event-free members).  Sums a call did not request are ``None``.
+    ``rows`` holds per epoch what ``contract`` reads; ``index`` places
+    a subset's intervals in the whole pass.
     """
 
     k: np.ndarray
@@ -148,29 +148,27 @@ class Aggregates:
     S1: np.ndarray = None
     M1: np.ndarray = None
     SDw1: np.ndarray = None
-    S2: np.ndarray = None
-    M2: np.ndarray = None
-    SDw2: np.ndarray = None
     Q0: np.ndarray = None
     Qf0: np.ndarray = None
     Qe0: np.ndarray = None
     Q1: np.ndarray = None
     Qf1: np.ndarray = None
-    Q2: np.ndarray = None
-    Qf2: np.ndarray = None
     Z: np.ndarray = None
     Zf: np.ndarray = None
     Ze: np.ndarray = None
     me: np.ndarray = None
+    rows: tuple = ()
+    index: np.ndarray = None
 
     def subset(self, mask):
         """The aggregates of the event intervals selected by ``mask``
         (``self`` when it selects them all)."""
         if np.all(mask):
             return self
-        return Aggregates(**{f.name: None if getattr(self, f.name) is None
-                             else getattr(self, f.name)[mask]
-                             for f in fields(self)})
+        picked = {f.name: getattr(self, f.name) for f in fields(self)}
+        picked["index"] = np.arange(self.k.size) if self.index is None else self.index
+        return Aggregates(**{name: value[mask] if isinstance(value, np.ndarray)
+                             else value for name, value in picked.items()})
 
     @property
     def mixed(self):
@@ -183,13 +181,36 @@ class Aggregates:
                 self._mixed = split
         return split
 
+    def contract(self, risk=None, free=None, events=None, risk_sq=None,
+                 free_sq=None):
+        """``sum_k risk_k S2_k + free_k M2_k + events_k SDw2_k + risk_sq_k
+        Q2_k + free_sq_k Qf2_k``, with ``S2, M2, SDw2`` the sums of
+        ``w X X'`` over the risk set, its event-free part and its events
+        and ``Q2, Qf2`` of ``w^2 X X'``: per epoch ``Xc' diag(u) Xc``,
+        ``u_i = w_i C_i + w_i^2 C'_i`` (see ``_Layout.spread``)."""
+        total = np.zeros((self.center.shape[1],) * 2)
+        if events is not None:  # the unit's event-free risk set has no event block
+            events = np.where(self.T > 0, events, 0.0)
+        coefs = [risk, free, events, risk_sq, free_sq]
+        if self.index is not None:  # zero at the pass's other intervals
+            coefs = [None if c is None else
+                     np.bincount(self.index, c, self.rows[-1][-1].stop)
+                     for c in coefs]
+        for lay, Xc, w, blkmax, shift, sel in self.rows:
+            c = [None if v is None else v[sel] for v in coefs]
+            u = w * np.repeat(lay.spread(blkmax, shift, *c[:3]), lay.lengths)
+            if c[3] is not None or c[4] is not None:
+                u += w * w * np.repeat(
+                    lay.spread(2.0 * blkmax, 2.0 * shift, *c[3:]), lay.lengths)
+            total += Xc.T @ (u[:, None] * Xc)
+        return total
+
 
 # names of the w-weighted and w^2-weighted sums by set, in the order
 # risk set, event-free members, events
 _W_NAMES = {0: ("S0", "s0d", "Tw"), 1: ("S1", "M1", "SDw1"),
-            2: ("S2", "M2", "SDw2"), "Z": ("Z", "Zf", "Ze")}
-_Q_NAMES = {0: ("Q0", "Qf0", "Qe0"), 1: ("Q1", "Qf1", None),
-            2: ("Q2", "Qf2", None)}
+            "Z": ("Z", "Zf", "Ze")}
+_Q_NAMES = {0: ("Q0", "Qf0", "Qe0"), 1: ("Q1", "Qf1", None)}
 
 
 class _Layout:
@@ -210,6 +231,10 @@ class _Layout:
         self.events = self.free + 1                   # the block [f, r)
         self.has_free = self.free >= 0
         self.at_free = np.maximum(self.free, 0)
+        # per block, the last interval whose risk set (event-free part) holds it
+        blocks = -np.arange(self.starts.size)
+        self.last_risk = np.searchsorted(-self.risk, blocks, side="right") - 1
+        self.last_free = np.searchsorted(-self.free, blocks[:self.free[0] + 1], side="right") - 1
 
     def block_sums(self, values):
         return np.add.reduceat(values, self.starts, axis=0)
@@ -230,26 +255,37 @@ class _Layout:
             events = events * np.exp(block_top[self.events] - scale)[lead]
         return risk, free, events
 
+    def spread(self, block_top, scale, risk=None, free=None, events=None):
+        """Per block ``b``, ``sum_k c_k e^{block_top_b - scale_k}`` over the
+        intervals whose risk set (``c = risk``), event-free part or
+        events hold it: for the first two one log-scale cumulative sum
+        of ``c_k e^{-scale_k}`` over ``k``.  No exponent read exceeds 0."""
+        out = np.zeros(self.starts.size)
+        for c, last in ((risk, self.last_risk), (free, self.last_free)):
+            if c is not None:
+                sums, top = _scaled_cumsum(-scale, c)
+                out[:last.size] += sums[last] * np.exp(
+                    block_top[:last.size] + top[last])
+        if events is not None:
+            out[self.events] += events * np.exp(block_top[self.events] - scale)
+        return out
+
 
 def _weighted_sums(lay, Xc, eta, order, squares, Z):
-    """Risk-set, event-free and event sums of one epoch (see Aggregates)."""
+    """Risk-set, event-free and event sums of one epoch (see Aggregates),
+    the per-row weights ``w`` and the block maxima of ``eta``."""
     d = Xc.shape[1]
     blkmax = np.maximum.reduceat(eta, lay.starts)
     w = np.exp(eta - np.repeat(blkmax, lay.lengths))
     out = {}
 
     def moments(weight, max_order, payload, log_scale, names):
-        # block sums of [w | w X | w Z | w X X'] in one (blocks, width)
-        # array: [w | w X] from one (rows, 1 + d) buffer, a payload's on
-        # its own (no buffer is wider than X or the payload), the
-        # products (w X_a) X in groups of a whose buffer holds at most
-        # _TILE entries, so that no (n, d, d) array is made
-        rows = lay.rows
+        # block sums of [w | w X | w Z] in one (blocks, width) array:
+        # [w | w X] from one (rows, 1 + d) buffer, a payload's on its own
         lin = 1 + d if max_order >= 1 else 1
-        head = lin + (0 if payload is None else payload.shape[1])
-        width = head + (d * d if max_order >= 2 else 0)
+        width = lin + (0 if payload is None else payload.shape[1])
         blocks = np.empty((lay.starts.size, width))
-        buf = np.empty((rows, lin))
+        buf = np.empty((lay.rows, lin))
         buf[:, 0] = weight
         if max_order >= 1:
             np.multiply(weight[:, None], Xc, out=buf[:, 1:])
@@ -257,26 +293,14 @@ def _weighted_sums(lay, Xc, eta, order, squares, Z):
         del buf
         if payload is not None:
             np.add.reduceat(weight[:, None] * payload, lay.starts, axis=0,
-                            out=blocks[:, lin:head])
-        if max_order >= 2:
-            per = max(1, min(d, _TILE // max(rows * d, 1)))
-            prod = np.empty((rows, per, d))
-            flat = prod.reshape(rows, per * d)
-            for a in range(0, d, per):
-                g = min(per, d - a)
-                wx = weight[:, None] * Xc[:, a:a + g]
-                np.multiply(wx[:, :, None], Xc[:, None, :], out=prod[:, :g])
-                np.add.reduceat(flat[:, :g * d], lay.starts, axis=0,
-                                out=blocks[:, head + a * d:head + (a + g) * d])
+                            out=blocks[:, lin:])
         prefix, top = _scaled_cumsum(log_scale, blocks)
         scale = top[lay.risk]
         groups = [(names[0], slice(0, 1), ())]
         if max_order >= 1:
             groups.append((names[1], slice(1, lin), (d,)))
         if payload is not None:
-            groups.append((names["Z"], slice(lin, head), payload.shape[1:]))
-        if max_order >= 2:
-            groups.append((names[2], slice(head, width), (d, d)))
+            groups.append((names["Z"], slice(lin, width), payload.shape[1:]))
         for at, arr in enumerate(lay.read(prefix, blocks, top, log_scale,
                                           scale)):
             for set_names, cols, shape in groups:
@@ -300,7 +324,7 @@ def _weighted_sums(lay, Xc, eta, order, squares, Z):
                               where=has_free[:, None])
     if squares is not None:
         moments(w * w, squares, None, 2.0 * blkmax, _Q_NAMES)
-    return out
+    return out, w, blkmax
 
 
 class RiskSets:
@@ -323,7 +347,6 @@ class RiskSets:
         J = data.n_intervals
         firsts = np.r_[1, data.covariate_changes()]
         lasts = np.r_[firsts[1:] - 1, J]
-        self._epoch_of = np.repeat(np.arange(firsts.size), lasts - firsts + 1)
         self._epochs = []
         for lo, hi in zip(firsts, lasts):
             X = data.covariates_at(int(lo))[self.order]
@@ -332,35 +355,24 @@ class RiskSets:
             lay = _Layout(ks, self.n_at_risk, self.n_events) if ks.size else None
             if lay is None:
                 center = np.zeros(self.d)
-                Xc = X[:0]
+                Xc = SD1 = X[:0]
             else:
                 center = X[:lay.rows].mean(axis=0)
                 Xc = X[:lay.rows] - center
-            self._epochs.append((int(lo), int(hi), X, lay, center, Xc))
+                SD1 = lay.block_sums(Xc)[lay.events]
+                SD1.flags.writeable = False  # every pass shares it
+            self._epochs.append((int(lo), int(hi), X, lay, center, Xc, SD1))
         # slot -> (key, value); see the module docstring
         self._kept = {}
 
-    def interval(self, j: int, coef: np.ndarray):
-        """Risk set of interval ``j``: (member indices, X, D, eta).
-
-        ``eta = X @ coef`` evaluated at the interval's covariate values.
-        The indices and ``X`` are views; empty risk sets yield empty
-        arrays.
-        """
-        idx = self.order[: self.n_at_risk[j - 1]]
-        m = idx.size
-        X = self._epochs[self._epoch_of[j - 1]][2][:m]
-        D = (self._y[:m] == j) & self._delta[:m]
-        return idx, X, D, X @ coef
-
     def _live_epochs(self):
-        """(first, last, layout, centre, centred rows, slice of the
-        event intervals) of each epoch that holds event intervals."""
+        """(first, last, layout, centre, centred rows, event sums, slice
+        of the event intervals) of each epoch with event intervals."""
         at = 0
-        for lo, hi, _, lay, center, Xc in self._epochs:
+        for lo, hi, _, lay, center, Xc, SD1 in self._epochs:
             if lay is None:
                 continue
-            yield lo, hi, lay, center, Xc, slice(at, at + lay.ks.size)
+            yield lo, hi, lay, center, Xc, SD1, slice(at, at + lay.ks.size)
             at += lay.ks.size
 
     def _sorted(self, values, e):
@@ -371,39 +383,39 @@ class RiskSets:
             values = values[e]
         return values[self.order]
 
-    def aggregates(self, coef, order: int = 2, squares: int | None = None,
+    def aggregates(self, coef, squares: int | None = None,
                    payload=None) -> Aggregates:
         """Aggregates (see the class) of every event interval at ``coef``.
 
-        ``order`` is the highest order in X of the ``w``-weighted sums,
-        ``squares`` that of the ``w^2``-weighted ones (``None``: none).
-        ``payload`` is an ``(n, p)`` per-subject array, or one such array
-        for each epoch of ``epoch_spans`` stacked ``(epochs, n, p)``,
-        whose ``w``-weighted sums fill ``Z, Zf, Ze``.  A full pass
-        (``order=2``, no payload) is kept for ``full``.
+        ``squares`` is the highest order in X of the ``w^2``-weighted
+        sums (``None``: none).  ``payload`` is an ``(n, p)`` per-subject
+        array, or one such array for each epoch of ``epoch_spans``
+        stacked ``(epochs, n, p)``, whose ``w``-weighted sums fill
+        ``Z, Zf, Ze``.  A full pass (no payload) is kept for ``full``.
         """
         coef = np.asarray(coef, dtype=float)
-        parts = []
-        for e, (lo, hi, lay, center, Xc, _) in enumerate(self._live_epochs()):
+        parts, rows = [], []
+        for e, (_, _, lay, center, Xc, SD1, sel) in enumerate(self._live_epochs()):
             Z = None
             if payload is not None:
                 Z = self._sorted(payload, e)[:lay.rows]
-            eta = Xc @ coef
-            part = _weighted_sums(lay, Xc, eta, order, squares, Z)
+            part, w, blkmax = _weighted_sums(lay, Xc, Xc @ coef, 1, squares, Z)
             part["offset"] = np.full(lay.ks.size, float(center @ coef))
             part["center"] = np.broadcast_to(center, (lay.ks.size, self.d))
-            part["SD1"] = lay.block_sums(Xc)[lay.events]
+            part["SD1"] = SD1
             part["log_s0"] = part["log_s0"] + part["offset"]
             part["log_s0d"] = part["log_s0d"] + part["offset"]
             parts.append(part)
+            rows.append((lay, Xc, w, blkmax, part["shift"], sel))
         if not parts:
-            return _empty_aggregates(self.d, order, squares, payload)
+            return _empty_aggregates(self.d, squares, payload)
         ks = self.event_intervals
         merged = parts[0] if len(parts) == 1 else {
             key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
         agg = Aggregates(k=ks, T=self.n_events[ks - 1].astype(float),
-                         m=self.n_at_risk[ks - 1].astype(float), **merged)
-        if order == 2 and payload is None:
+                         m=self.n_at_risk[ks - 1].astype(float),
+                         rows=tuple(rows), **merged)
+        if payload is None:
             self.keep("pass", coef.tobytes(), (squares, agg))
         return agg
 
@@ -430,8 +442,8 @@ class RiskSets:
         return None
 
     def full(self, coef, squares: int | None = None) -> Aggregates:
-        """Order-2 aggregates at ``coef`` with ``w^2`` sums through
-        ``squares``: a kept full pass at these exact coefficients that
+        """Aggregates at ``coef`` with ``w^2`` sums through ``squares``:
+        a kept full pass at these exact coefficients that
         holds those sums, else a new pass.  Callers share the returned
         object and must not change it."""
         coef = np.asarray(coef, dtype=float)
@@ -453,12 +465,12 @@ class RiskSets:
         however small the step.  ``None`` unless ``|X_i' step| <= 1``
         for every centred row."""
         coef, step = np.asarray(coef, dtype=float), np.asarray(step, dtype=float)
-        live = [(lay, Xc, Xc @ step) for _, _, lay, _, Xc, _ in self._live_epochs()]
+        live = [(lay, Xc, Xc @ step) for _, _, lay, _, Xc, *_ in self._live_epochs()]
         if any(np.any(np.abs(move) > 1.0) for *_, move in live):
             return None
         sums = [_weighted_sums(lay, Xc, Xc @ coef, 0, None, np.expm1(move)[:, None])
                 for lay, Xc, move in live]
-        return np.concatenate([part["Z"][:, 0] / part["S0"] for part in sums])
+        return np.concatenate([p["Z"][:, 0] / p["S0"] for p, *_ in sums])
 
     def set_sums(self, values):
         """Unweighted sums of a per-subject ``(n, p)`` array (or one per
@@ -466,7 +478,7 @@ class RiskSets:
         event-free members and the events of every event interval:
         three ``(K, p)`` arrays."""
         out = ([], [], [])
-        for e, (lo, hi, lay, center, Xc, _) in enumerate(self._live_epochs()):
+        for e, (lo, hi, lay, *_) in enumerate(self._live_epochs()):
             V = self._sorted(values, e)[:lay.rows]
             blocks = lay.block_sums(V)
             for acc, arr in zip(out, lay.read(np.cumsum(blocks, axis=0), blocks)):
@@ -492,7 +504,7 @@ class RiskSets:
         coef = np.asarray(coef, dtype=float)
         B = np.asarray(B, dtype=float)
         out = np.zeros((self.n, B.shape[1]))
-        for lo, hi, lay, center, Xc, sel in self._live_epochs():
+        for lo, hi, lay, center, Xc, _, sel in self._live_epochs():
             # a bound past the epoch keeps all of it, one at or before
             # its start none of it
             cut = before if before is not None and before <= hi else None
@@ -559,7 +571,7 @@ class RiskSets:
         with ``eta_ik + g_k > 0``, ``eta`` the true linear predictor."""
         coef = np.asarray(coef, dtype=float)
         count = 0
-        for lo, hi, lay, center, Xc, sel in self._live_epochs():
+        for lo, hi, lay, center, Xc, _, sel in self._live_epochs():
             gk = g[sel]
             take, at = self._sum_positions(lo, hi, lay, "all", None)
             eta = (Xc @ coef + float(center @ coef))[take]
@@ -620,13 +632,13 @@ class RiskSets:
     def epoch_spans(self):
         """(first interval, slice of the event intervals) of every epoch
         that holds event intervals."""
-        return [(lo, sel) for lo, _, _, _, _, sel in self._live_epochs()]
+        return [(lo, sel) for lo, *_, sel in self._live_epochs()]
 
 
-def _empty_aggregates(d, order, squares, payload):
+def _empty_aggregates(d, squares, payload):
     """Aggregates of a dataset without event intervals: zero-length
     arrays of the shapes a call with these arguments returns."""
-    one = risk_set_aggregates(np.zeros((1, d)), [False], [0.0], order, squares)
+    one = risk_set_aggregates(np.zeros((1, d)), [False], [0.0], squares)
     agg = one.subset(np.zeros(1, dtype=bool))
     if payload is not None:
         p = np.shape(payload)[-1]
@@ -634,8 +646,7 @@ def _empty_aggregates(d, order, squares, payload):
     return agg
 
 
-def risk_set_aggregates(X, D, eta, order: int = 2,
-                        squares: int | None = None) -> Aggregates:
+def risk_set_aggregates(X, D, eta, squares: int | None = None) -> Aggregates:
     """Aggregates of one risk set given its rows ``X``, event flags
     ``D`` and linear predictor ``eta`` (the enumeration oracles' unit)."""
     X = np.asarray(X, dtype=float)
@@ -649,12 +660,13 @@ def risk_set_aggregates(X, D, eta, order: int = 2,
     lay = _Layout(np.array([1]), np.array([m]), np.array([T]))
     if T == 0:
         lay.events = lay.free  # no event block; its sums are zeroed below
-    out = _weighted_sums(lay, Xc, eta[perm], order, squares, None)
+    out, w, blkmax = _weighted_sums(lay, Xc, eta[perm], 1, squares, None)
     SD1 = Xc[m - T:].sum(axis=0)[None, :]
     if T == 0:
-        for name in ("Tw", "SDw1", "SDw2", "Qe0"):
+        for name in ("Tw", "SDw1", "Qe0"):
             if name in out:
                 out[name] = np.zeros_like(out[name])
     return Aggregates(k=np.array([1]), T=np.array([float(T)]),
                       m=np.array([float(m)]), offset=np.zeros(1),
-                      center=center[None, :], SD1=SD1, **out)
+                      center=center[None, :], SD1=SD1, **out,
+                      rows=((lay, Xc, w, blkmax, out["shift"], slice(0, 1)),))

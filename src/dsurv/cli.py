@@ -342,7 +342,7 @@ def cmd_simulate(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     kinds = [k.strip() for k in args.variances.split(",") if k.strip()]
     summary = replicate(scenario, methods=methods, variance_kinds=kinds,
-                        threads=max(args.threads, 1))
+                        threads=args.threads)
     if args.out is None:
         summary_to_csv(summary, sys.stdout)
     else:

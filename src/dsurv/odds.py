@@ -35,10 +35,9 @@ import numpy as np
 from .data import DiscreteSurvivalData
 from .errors import (ConvergenceError, InputError, SingularMatrixError,
                      check_settings)
-from .prob import (ProbInfluence, VarianceEstimate, _col, _kept_rows,
-                   _mean_terms, _outer, _sandwich, _solve_spd, _symmetric,
-                   fit_gamma, var_model_based, var_model_based2, var_oldstyle,
-                   var_robust)
+from .prob import (ProbInfluence, VarianceEstimate, _kept_rows, _mean_terms,
+                   _sandwich, _solve_spd, fit_gamma, var_model_based,
+                   var_model_based2, var_oldstyle, var_robust)
 
 __all__ = [
     "OddsFit",
@@ -56,8 +55,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# per-interval terms over the risk-set aggregates (raw sums; the
-# module-level wrappers divide by n)
+# terms over the risk-set aggregates (raw sums; the module-level wrappers
+# divide by n): per-interval scores, d x d totals (Aggregates.contract)
 # ---------------------------------------------------------------------------
 #
 # Risk sets with no events or only events contribute zero, so each term
@@ -66,7 +65,7 @@ __all__ = [
 # below the line, so the aggregates' shift cancels exactly.
 
 def _with_mixed(terms):
-    """Total of ``terms`` over the mixed risk sets."""
+    """``terms`` of the mixed risk sets."""
     return lambda a: terms(a.mixed)
 
 
@@ -76,59 +75,55 @@ def score_odds_terms(a):
 
 
 def jacobian_odds_terms(a):
-    """Raw Jacobian terms ``sum_i (1-D_i) w_i (T X_i - SD1)(X_i - xbar)' / S0``.
+    """Raw Jacobian total of ``sum_i (1-D_i) w_i (T X_i - SD1)(X_i - xbar)' / S0``.
 
     This is the sample analog of the population derivative of the score
     in ``-beta'``; it is generally non-symmetric under ties.
     """
-    T = a.T[:, None]
-    xbar = a.S1 / a.S0[:, None]
-    out = (_col(a.T) * a.M2 - _outer(a.SD1, a.M1)
-           - _outer(T * a.M1 - a.s0d[:, None] * a.SD1, xbar))
-    return out / _col(a.S0)
+    s0 = a.S0[:, None]
+    return (a.contract(free=a.T / a.S0) - (a.SD1 / s0).T @ a.M1
+            + (score_odds_terms(a) / s0).T @ a.S1)
 
 
 def gb_terms(a):
-    """Raw classical model-based pieces ``(T S0d / S0^2) sum_i w_i (X_i - me)^{x2}``
+    """Raw classical model-based total of ``(T S0d / S0^2) sum_i w_i (X_i - me)^{x2}``
     with ``me`` the event-free-weighted covariate mean."""
-    me = a.me
-    cross = _outer(a.S1, me)
-    spread = (a.S2 - cross - cross.transpose(0, 2, 1)
-              + _col(a.S0) * _outer(me, me))
-    return _col(a.T * a.s0d / (a.S0 * a.S0)) * spread
+    c = a.T * a.s0d / (a.S0 * a.S0)
+    cross = (c[:, None] * a.S1).T @ a.me
+    return (a.contract(risk=c) - cross - cross.T
+            + ((c * a.S0)[:, None] * a.me).T @ a.me)
 
 
 def sigma_hat_terms(a):
-    """Raw tie-aware pieces ``n * sigma_hat_j``: the triple sum
+    """Raw tie-aware total of the pieces ``n * sigma_hat_j``: the triple sum
 
         sum_i { (1-D_i) w_i sum_l D_l w_l (X_i - X_l)^{x2}
                 + w_i [sum_l (1-D_l) w_l (X_i - X_l)] [sum_k D_k (X_i - X_k)]' } / S0^2
 
     expanded into the aggregates.  Generally non-symmetric.
     """
-    s0d, T = _col(a.s0d), _col(a.T)
-    term1 = (_col(a.Tw) * a.M2 - _outer(a.M1, a.SDw1) - _outer(a.SDw1, a.M1)
-             + s0d * a.SDw2)
-    term2 = (s0d * T * a.S2 - s0d * _outer(a.S1, a.SD1)
-             - T * _outer(a.M1, a.S1) + _col(a.S0) * _outer(a.M1, a.SD1))
-    return (term1 + term2) / _col(a.S0 * a.S0)
+    c = 1.0 / (a.S0 * a.S0)
+    M1 = c[:, None] * a.M1
+    return (a.contract(free=c * a.Tw, events=c * a.s0d, risk=c * a.s0d * a.T)
+            - M1.T @ a.SDw1 - (c[:, None] * a.SDw1).T @ a.M1
+            - ((c * a.s0d)[:, None] * a.S1).T @ a.SD1
+            - (a.T[:, None] * M1).T @ a.S1 + (a.S0[:, None] * M1).T @ a.SD1)
 
 
 def sigma_tilde_terms(a):
-    """Raw sparse-table-style pieces ``n * sigma_tilde_j``: the triple sum
+    """Raw total of the sparse-table-style pieces ``n * sigma_tilde_j``: the triple sum
 
         sum_i (1-D_i) w_i [sum_l {(1-D_l) w_l + D_l w_i}(X_i - X_l)]
                           [sum_k D_k (X_i - X_k)]' / S0^2
       = { T (S0d M2 - M1 M1') + sum_i (1-D_i) w_i^2 (T X_i - SD1)^{x2} } / S0^2,
 
-    symmetric in exact arithmetic and so also in this expansion.
+    symmetric in exact arithmetic.
     """
-    T = _col(a.T)
-    cross = _outer(a.Qf1, a.SD1)
-    free_sq = (T * T * a.Qf2 - T * (cross + cross.transpose(0, 2, 1))
-               + _col(a.Qf0) * _outer(a.SD1, a.SD1))
-    out = T * (_col(a.s0d) * a.M2 - _outer(a.M1, a.M1)) + free_sq
-    return out / _col(a.S0 * a.S0)
+    c = a.T / (a.S0 * a.S0)
+    cross = (c[:, None] * a.Qf1).T @ a.SD1
+    return (a.contract(free=c * a.s0d, free_sq=c * a.T)
+            - (c[:, None] * a.M1).T @ a.M1 - cross - cross.T
+            + ((a.Qf0 / (a.S0 * a.S0))[:, None] * a.SD1).T @ a.SD1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +175,7 @@ OddsVarianceEstimate = VarianceEstimate
 
 def score_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    return _mean_terms(data, beta, _with_mixed(score_odds_terms))
+    return _mean_terms(data, beta, lambda a: score_odds_terms(a.mixed).sum(axis=0))
 
 
 def jacobian_beta(data: DiscreteSurvivalData, beta) -> np.ndarray:
@@ -222,7 +217,7 @@ def _newton(rs, n, start, tol, max_iter):
             raise ConvergenceError(
                 f"fit_beta: no convergence in {max_iter} iterations",
                 iterations=max_iter, score_norm=score_norm)
-        step = _solve_spd(jacobian_odds_terms(a).sum(axis=0), score, "fit_beta")
+        step = _solve_spd(jacobian_odds_terms(a), score, "fit_beta")
         merit = float(np.linalg.norm(score))
         t = 1.0
         while t >= 2.0 ** -40:
@@ -323,7 +318,7 @@ def fit_beta(data: DiscreteSurvivalData, tol: float = 1e-9,
     a = rs.full(beta)
     rs.hold("odds", beta)
     beta0 = _baselines(a, data.n_intervals)
-    jac = jacobian_odds_terms(a.mixed).sum(axis=0) / n
+    jac = jacobian_odds_terms(a.mixed) / n
     return OddsFit(beta=beta, beta0=beta0, jacobian=jac, score_norm=score_norm,
                    iterations=iterations, init=label, n=n, warnings=warnings)
 
@@ -384,15 +379,15 @@ def var_model_based_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarian
 
 def var_model_based2_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Tie-aware model-based sandwich from conditionally unbiased pieces."""
-    meat = _mean_terms(data, fit.beta,
-                       _with_mixed(lambda a: _symmetric(sigma_hat_terms(a))))
+    meat = _mean_terms(data, fit.beta, _with_mixed(sigma_hat_terms))
+    meat = 0.5 * (meat + meat.T)
     return _sandwich(fit.jacobian, meat, data.n, "model_based2")
 
 
 def var_model_based3_odds(data: DiscreteSurvivalData, fit: OddsFit) -> OddsVarianceEstimate:
     """Sparse-table-style model-based sandwich (three-way event products)."""
     meat = _mean_terms(data, fit.beta, _with_mixed(sigma_tilde_terms),
-                       squares=2)
+                       squares=1)
     return _sandwich(fit.jacobian, meat, data.n, "model_based3")
 
 

@@ -49,19 +49,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# per-interval terms over the risk-set aggregates (raw sums; the
-# module-level wrappers divide by n)
+# terms over the risk-set aggregates (raw sums; the module-level wrappers
+# divide by n): per-interval scores, d x d totals (Aggregates.contract)
 # ---------------------------------------------------------------------------
-
-def _outer(u, v):
-    """Per-interval outer products of two ``(K, d)`` arrays."""
-    return u[:, :, None] * v[:, None, :]
-
-
-def _col(v):
-    """A ``(K,)`` array shaped to scale ``(K, d, d)`` terms."""
-    return v[:, None, None]
-
 
 def _xbar(a):
     return a.S1 / a.S0[:, None]
@@ -73,35 +63,31 @@ def score_terms(a):
 
 
 def hessian_terms(a):
-    """Raw Hessian terms ``T sum_i (w_i/S0)(X_i - xbar)^{x2} = T (S2/S0 - xbar xbar')``."""
+    """Raw Hessian total ``sum_j T sum_i (w_i/S0)(X_i - xbar)^{x2} = sum_j T (S2/S0 - xbar xbar')``."""
     xbar = _xbar(a)
-    return _col(a.T) * (a.S2 / _col(a.S0) - _outer(xbar, xbar))
+    return a.contract(risk=a.T / a.S0) - (a.T[:, None] * xbar).T @ xbar
 
 
 def ab_terms(a):
-    """Raw terms ``sum_i p_i (1 - p_i) (X_i - xbar)^{x2}`` with ``p_i = T w_i / S0``."""
+    """Raw total of ``sum_i p_i (1 - p_i) (X_i - xbar)^{x2}`` with ``p_i = T w_i / S0``."""
     xbar = _xbar(a)
-    cross = _outer(a.Q1, xbar)
-    squares = (a.Q2 - cross - cross.transpose(0, 2, 1)
-               + _col(a.Q0) * _outer(xbar, xbar))
-    return hessian_terms(a) - _col(a.T / a.S0) ** 2 * squares
+    c = (a.T / a.S0) ** 2
+    cross = (c[:, None] * a.Q1).T @ xbar
+    return (a.contract(risk=a.T / a.S0, risk_sq=-c)
+            - ((a.T + c * a.Q0)[:, None] * xbar).T @ xbar + cross + cross.T)
 
 
 def vhat_terms(a):
-    """Raw tie-aware pieces ``n * vhat_j``: the triple sum
+    """Raw tie-aware total of the pieces ``n * vhat_j``: the triple sum
 
         sum_i (1-D_i) w_i [sum_l w_l (X_i - X_l)] [sum_k D_k (X_i - X_k)]' / S0^2
 
     expanded into the aggregates (O(d^2) per interval, not O(m^3)).
     """
-    s0, T = _col(a.S0), _col(a.T)
-    out = (s0 * T * a.M2 - s0 * _outer(a.M1, a.SD1)
-           - T * _outer(a.S1, a.M1) + _col(a.s0d) * _outer(a.S1, a.SD1))
-    return out / (s0 * s0)
-
-
-def _symmetric(terms):
-    return 0.5 * (terms + terms.transpose(0, 2, 1))
+    s0 = a.S0[:, None]
+    return (a.contract(free=a.T / a.S0) - (a.M1 / s0).T @ a.SD1
+            + a.S1.T @ ((a.s0d[:, None] * a.SD1 - a.T[:, None] * a.M1)
+                        / (s0 * s0)))
 
 
 def _objective(rs, gamma):
@@ -192,14 +178,14 @@ class VarianceEstimate:
 # score / hessian / fitting
 # ---------------------------------------------------------------------------
 
-def _mean_terms(data, coef, terms, squares=None):
-    """``1/n`` times the total of ``terms`` over the event intervals."""
-    return terms(data.risk_sets.full(coef, squares)).sum(axis=0) / data.n
+def _mean_terms(data, coef, total, squares=None):
+    """``1/n`` times ``total`` of the full pass at ``coef``."""
+    return total(data.risk_sets.full(coef, squares)) / data.n
 
 
 def score_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
     """Pooled estimating function, scaled by 1/n."""
-    return _mean_terms(data, gamma, score_terms)
+    return _mean_terms(data, gamma, lambda a: score_terms(a).sum(axis=0))
 
 
 def hessian_gamma(data: DiscreteSurvivalData, gamma) -> np.ndarray:
@@ -275,7 +261,7 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
             raise ConvergenceError(
                 f"fit_gamma: no convergence in {max_iter} iterations",
                 iterations=max_iter, score_norm=score_norm)
-        step = _solve_spd(hessian_terms(a).sum(axis=0), score, "fit_gamma")
+        step = _solve_spd(hessian_terms(a), score, "fit_gamma")
         t = 1.0
         while t >= 2.0 ** -40:
             cand = gamma + t * step
@@ -294,7 +280,7 @@ def fit_gamma(data: DiscreteSurvivalData, tol: float = 1e-9,
 
     rs.hold("prob", gamma)
     rs.keep(("root", "prob"), (tol, max_iter), gamma.copy())
-    hess = hessian_terms(a).sum(axis=0) / n
+    hess = hessian_terms(a) / n
     gamma0 = _baselines(a, data.n_intervals)
     warnings = []
     if np.max(np.abs(gamma)) > 10.0:
@@ -364,13 +350,14 @@ def var_robust(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
 
 def var_model_based(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
     """Model-based sandwich with ``p(1-p)``-weighted meat (valid without ties)."""
-    meat = _mean_terms(data, fit.gamma, ab_terms, squares=2)
+    meat = _mean_terms(data, fit.gamma, ab_terms, squares=1)
     return _sandwich(fit.hessian, meat, data.n, "model_based")
 
 
 def var_model_based2(data: DiscreteSurvivalData, fit: ProbFit) -> VarianceEstimate:
     """Tie-aware model-based sandwich from conditionally unbiased pieces."""
-    meat = _mean_terms(data, fit.gamma, lambda a: _symmetric(vhat_terms(a)))
+    meat = _mean_terms(data, fit.gamma, vhat_terms)
+    meat = 0.5 * (meat + meat.T)
     return _sandwich(fit.hessian, meat, data.n, "model_based2")
 
 

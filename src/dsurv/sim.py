@@ -183,26 +183,20 @@ class SimSummary:
     n_failed: dict = field(default_factory=dict)
 
 
-def _fit_one(method, data, kinds, gamma=None):
-    """Fit one method; ``wmh`` starts from ``gamma``, the ``bp`` root,
-    when one is given, which is where ``fit_beta`` starts by default."""
-    if method in ("bp", "wmh"):
-        if method == "bp":
-            fit = _prob.fit_gamma(data)
-            point, table = fit.gamma, _odds.VARIANCES["prob"]
-        else:
-            fit = _odds.fit_beta(data, init=gamma)
-            point, table = fit.beta, _odds.VARIANCES["odds"]
+def _fit_one(method, data, kinds):
+    """Fit one method and the kinds of ``kinds`` it defines; ``wmh``
+    starts from the ``bp`` root the dataset's engine keeps, as
+    ``fit_beta`` does by default."""
+    if method == "plogit":
+        fit = fit_plogit(data, full_fisher=False)
+        table = dict(zip(("mb", "robust"), plogit_variances(data, fit)))
+        variances = {k: table[k] for k in kinds if k in table}
+    else:
+        fit = _prob.fit_gamma(data) if method == "bp" else _odds.fit_beta(data)
+        table = _odds.VARIANCES["prob" if method == "bp" else "odds"]
         variances = {k: table[k](data, fit).covariance
                      for k in kinds if k in table}
-    elif method == "plogit":
-        fit = fit_plogit(data, full_fisher=False)
-        point = fit.beta
-        mb, robust = plogit_variances(data, fit)
-        available = {"mb": mb, "robust": robust}
-        variances = {k: available[k] for k in kinds if k in available}
-    else:
-        raise InputError(f"unknown method '{method}'")
+    point = fit.gamma if method == "bp" else fit.beta
     return point, {k: np.diag(v).copy() for k, v in variances.items()}
 
 
@@ -211,10 +205,8 @@ def _run_rep(args):
     data = generate(scenario, rep)
     out = {}
     for method in methods:
-        bp = out.get("bp")
         try:
-            out[method] = _fit_one(method, data, kinds,
-                                   None if bp is None else bp[0])
+            out[method] = _fit_one(method, data, kinds)
         except _FIT_ERRORS:
             out[method] = None
     return rep, out
@@ -228,10 +220,22 @@ def replicate(scenario: SimScenario, methods=("bp", "wmh", "plogit"),
     Replicates where a method's fit (or one of its variance estimates)
     fails are excluded from that method's aggregates and counted in
     ``n_failed``.  Results are indexed by replicate before reduction, so
-    they are identical for any ``threads``.
+    they are identical for any ``threads``.  No method, an unknown
+    method, a variance kind no method defines or ``threads`` below 1 is
+    an ``InputError`` before any replicate runs.
     """
     methods = list(methods)
     kinds = list(variance_kinds)
+    if not methods:
+        raise InputError("no method to fit")
+    defined = {k for table in _odds.VARIANCES.values() for k in table}
+    for what, names, known in (("method", methods, ("bp", "wmh", "plogit")),
+                               ("variance kind", kinds, defined)):
+        for name in names:
+            if name not in known:
+                raise InputError(f"unknown {what} '{name}'")
+    if threads < 1:
+        raise InputError(f"threads must be at least 1 (got {threads})")
     reps, d = scenario.reps, 5
     points = {m: np.full((reps, d), np.nan) for m in methods}
     variances = {m: {} for m in methods}
@@ -346,19 +350,19 @@ def enumerate_conditional(X, intercept: float, coef, model: str = "prob",
         p = np.exp(intercept + eta)
         if np.any(p > 1.0):
             raise InputError("probability model: hazard above 1 on this design")
-        terms = [_prob.score_terms, _prob.vhat_terms]
+        score, meats = _prob.score_terms, [_prob.vhat_terms]
         squares = None
     elif model == "odds":
         p = _expit(intercept + eta)
-        terms = [_odds.score_odds_terms, _odds.sigma_hat_terms,
-                 _odds.sigma_tilde_terms]
-        squares = 2
+        score = _odds.score_odds_terms
+        meats = [_odds.sigma_hat_terms, _odds.sigma_tilde_terms]
+        squares = 1
     else:
         raise InputError("model must be 'prob' or 'odds'")
 
     def kernels(D):
         a = risk_set_aggregates(X, D, eta, squares=squares)
-        values = [t(a)[0] for t in terms]
+        values = [score(a)[0]] + [t(a) for t in meats]
         if model == "odds" and not 0 < a.T[0] < m:
             # risk sets with no events or only events contribute zero
             values = [np.zeros_like(v) for v in values]
@@ -385,7 +389,7 @@ def enumerate_conditional(X, intercept: float, coef, model: str = "prob",
         def weight(D):
             return float(np.exp(np.sum(eta[D])))
 
-    first = [None] * len(terms)
+    first = [None] * (1 + len(meats))
     score_sq = None
     total = 0.0
     for D in configs:

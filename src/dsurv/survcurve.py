@@ -94,6 +94,8 @@ def _check_profile(data, fit, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (data.d,):
         raise InputError(f"x0 must be a length-{data.d} vector")
+    if not np.all(np.isfinite(x0)):
+        raise InputError("x0 must be finite")
     return x0
 
 
@@ -150,7 +152,7 @@ def _robust_parts(data, rs, coef, keep, log_nu, eps, share, W):
              + rs.subject_sums(coef, eps[:, None], span="event"))[:, 0]
     payload = np.concatenate(
         [np.broadcast_to(W.T, (len(spans), n, d)), F[:, :, None]], axis=2)
-    a = rs.aggregates(coef, order=1, squares=0, payload=payload)
+    a = rs.aggregates(coef, squares=0, payload=payload)
     _, free, events = rs.set_sums(
         np.concatenate([payload, (F * F)[:, :, None]], axis=2))
 

@@ -525,6 +525,38 @@ class LoopRiskSets:
         return out
 
 
+def engine_interval(rs, j, coef):
+    """Risk set of interval ``j`` as a risk-set engine ``rs`` holds it:
+    (member indices, X, D, eta) in the engine's row order, with
+    ``eta = X @ coef`` at the interval's covariate values, read from the
+    engine's sorted rows and epochs.  The indices and ``X`` are views;
+    empty risk sets yield empty arrays."""
+    idx = rs.order[: rs.n_at_risk[j - 1]]
+    m = idx.size
+    X = next(X for lo, hi, X, *_ in rs._epochs if lo <= j <= hi)[:m]
+    D = (rs._y[:m] == j) & rs._delta[:m]
+    return idx, X, D, X @ coef
+
+
+def second_moments(X, D, w):
+    """The literal second-order sums of one risk set under weights
+    ``w``: ``S2, M2, SDw2`` sum ``w X X'`` over the risk set, its
+    event-free members and its events; ``Q2, Qf2`` sum ``w^2 X X'``
+    over the risk set and its event-free members."""
+    d = X.shape[1]
+    out = {name: np.zeros((d, d)) for name in ("S2", "M2", "SDw2", "Q2", "Qf2")}
+    for i in range(len(w)):
+        xx = np.outer(X[i], X[i])
+        out["S2"] += w[i] * xx
+        out["Q2"] += w[i] ** 2 * xx
+        if D[i]:
+            out["SDw2"] += w[i] * xx
+        else:
+            out["M2"] += w[i] * xx
+            out["Qf2"] += w[i] ** 2 * xx
+    return out
+
+
 def plogit_person_period(data):
     """``(live, triples)``: which intervals have both events and
     event-free members, and for each of them (in order) the triple

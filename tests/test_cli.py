@@ -257,6 +257,17 @@ def test_bad_fit_settings_fail_with_input_error(tmp_path, capsys, model,
     assert err == f"error: input: {message}\n"
 
 
+@pytest.mark.parametrize("model", ["prob", "odds"])
+@pytest.mark.parametrize("x0", ["nan,1", "1,inf"])
+def test_a_non_finite_curve_profile_fails_with_input_error(tmp_path, capsys,
+                                                          model, x0):
+    curve = tmp_path / "curve.csv"
+    assert main(["fit", "--model", model, "--data", _subject_csv(tmp_path),
+                 "--x0", x0, "--curve", str(curve)]) == 1
+    assert capsys.readouterr().err == "error: input: x0 must be finite\n"
+    assert not curve.exists()
+
+
 def test_the_smallest_valid_iteration_budget_runs(tmp_path, capsys):
     # one Newton step from zero does not reach the default tolerance:
     # the budget is spent, which is a convergence failure, not bad input
@@ -300,6 +311,25 @@ def test_simulate_seed_precedence(tmp_path, monkeypatch, capsys):
     header = out1.read_text().splitlines()[0].split(",")
     assert header == ["coef", "BP_mean", "BP_sd", "BP_se_mb2", "BP_se_robust",
                       "BP_failed"]
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--methods", "bp,foo"], "unknown method 'foo'"),
+    (["--methods", ""], "no method to fit"),
+    (["--methods", " , "], "no method to fit"),
+    (["--variances", "robust,zzz"], "unknown variance kind 'zzz'"),
+    (["--threads", "0"], "threads must be at least 1 (got 0)"),
+    (["--threads", "-1"], "threads must be at least 1 (got -1)"),
+], ids=["unknown-method", "no-methods", "blank-methods", "unknown-kind",
+        "no-threads", "negative-threads"])
+def test_simulate_rejects_what_it_cannot_run(tmp_path, capsys, options,
+                                             message):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario",
+                 _scenario_file(tmp_path, "s.json", 1), "--out", str(out),
+                 *options]) == 1
+    assert capsys.readouterr().err == f"error: input: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["prob", "odds"])

@@ -297,7 +297,7 @@ def test_engine_interval_is_the_literal_risk_set():
     rs = RiskSets(data)
     coef = np.array([0.3, -0.2, 0.5])
     for j in range(1, J + 1):
-        idx, X, D, eta = rs.interval(j, coef)
+        idx, X, D, eta = o.engine_interval(rs, j, coef)
         members = o.risk_sets(data.y, J)[j - 1]
         np.testing.assert_array_equal(np.sort(idx), members)
         np.testing.assert_array_equal(X, data.covariates_at(j)[idx])

@@ -8,6 +8,7 @@ import pytest
 import _oracles as o
 from dsurv import (CensorOption, InputError, SimScenario, enumerate_conditional,
                    generate, replicate, summary_to_csv)
+from dsurv import sim
 from dsurv.sim import scenario_from_json_dict, scenario_to_json_dict
 
 
@@ -97,6 +98,32 @@ def test_failed_fits_are_counted_and_excluded():
     for m in ("bp", "wmh", "plogit"):
         assert summary.n_failed[m] == 2
         assert np.isnan(summary.point_mean[m]).all()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(methods=("bp", "foo")), "unknown method 'foo'"),
+    (dict(methods=()), "no method to fit"),
+    (dict(variance_kinds=("robust", "zzz")), "unknown variance kind 'zzz'"),
+    (dict(threads=0), "threads must be at least 1"),
+], ids=["unknown-method", "no-methods", "unknown-kind", "no-threads"])
+def test_replicate_rejects_a_request_before_any_replicate_runs(
+        kwargs, message, monkeypatch):
+    # an unknown method was once counted as a failed fit in every
+    # replicate, and an unknown kind dropped without a word
+    def never(scenario, rep):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(sim, "generate", never)
+    with pytest.raises(InputError, match=message):
+        replicate(_scenario(reps=2), **kwargs)
+
+
+def test_a_kind_that_one_method_defines_is_valid_for_any_method():
+    # mb3 is defined for wmh only, old for bp only
+    summary = replicate(_scenario(n=80, reps=1, seed=11, bin_width=0.5),
+                        methods=("bp",), variance_kinds=("old", "mb3"))
+    assert list(summary.se_mean["bp"]) == ["old"]
+    assert summary.n_failed["bp"] == 0
 
 
 def test_scenario_json_round_trip():

@@ -261,6 +261,20 @@ def test_curves_validate_the_profile_and_the_fit():
         prob_curve(other, fit)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curves_reject_a_non_finite_profile(bad):
+    # a NaN profile once gave a curve of NaN rows and a warning about a
+    # baseline hazard at 1
+    data = _make(_Y, _D, _X, _J)
+    x0 = np.array([bad, 1.0])
+    pfit = fit_gamma(data, tol=1e-12)
+    for make in (lambda: prob_curve(data, pfit, x0=x0),
+                 lambda: prob_cumhaz_alt(data, pfit, x0=x0, use_Binv=True),
+                 lambda: odds_curve(data, fit_beta(data), x0=x0)):
+        with pytest.raises(InputError, match="x0 must be finite"):
+            make()
+
+
 def test_small_risk_sets_are_mentioned_in_curve_warnings():
     data = _make(_Y, _D, _X, _J)
     curve = prob_curve(data, fit_gamma(data, tol=1e-12))
