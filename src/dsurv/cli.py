@@ -14,6 +14,8 @@ rounds to 3 decimals.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import json
 import math
 import os
@@ -26,7 +28,7 @@ from . import __version__
 from .data import CensorOption, TimeGrid, expand_step_terms, risk_summary
 from .errors import (ConvergenceError, InputError, SingularMatrixError,
                      check_settings)
-from .io import (build_data, dump_json, format_float, read_person_period_csv,
+from .io import (build_data, dump_json, format_column, read_person_period_csv,
                  read_subject_csv, read_tables_csv, write_curve_csv)
 from .odds import VARIANCES, fit_beta
 from .plogit import fit_plogit, plogit_variances
@@ -38,7 +40,10 @@ from .twosample import bp_two_sample, wmh_two_sample
 __all__ = ["main"]
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser():
+    """The argument tree, built on first use and then kept: parsing does
+    not change it (``append`` copies its default before appending)."""
     top = argparse.ArgumentParser(prog="dsurv",
                                   description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=__version__)
@@ -86,8 +91,7 @@ def _parse_args(argv):
     simp.add_argument("--methods", default="bp,wmh,plogit")
     simp.add_argument("--variances", default="old,mb,mb2,mb3,robust")
     simp.add_argument("--out", default=None, metavar="OUT.CSV")
-
-    return top.parse_args(argv)
+    return top
 
 
 def _grid_options(parser):
@@ -163,6 +167,10 @@ def cmd_fit(args):
         if x0.shape != (data.d,):
             raise InputError(f"--x0 needs {data.d} values, one per covariate "
                              f"{data.covariate_names} (got {x0.size})")
+        if not np.all(np.isfinite(x0)):
+            raise InputError("x0 must be finite")
+    if args.curve is not None and args.model == "plogit":
+        raise InputError("--curve supports --model prob or odds only")
 
     if args.model == "plogit":
         fit = fit_plogit(data, tol=args.tol, max_iter=args.max_iter,
@@ -188,19 +196,14 @@ def cmd_fit(args):
 
     z = point / robust_se
     pvals = 2.0 * ndtr(-np.abs(z))
-    coef_rows = []
-    for i, name in enumerate(data.covariate_names):
-        row = {"name": name, "estimate": float(point[i])}
-        for k in kinds:
-            row[f"se_{k}"] = float(ses[k][i])
-        row["se_robust"] = float(robust_se[i])
-        row["z"] = float(z[i])
-        row["p"] = float(pvals[i])
-        coef_rows.append(row)
-    baseline_rows = [{"interval": j + 1,
-                      "t": float(data.grid.breakpoints[j]),
-                      baseline_label: float(baseline[j])}
-                     for j in range(data.n_intervals)]
+    columns = {"estimate": point, **{f"se_{k}": ses[k] for k in kinds},
+               "se_robust": robust_se, "z": z, "p": pvals}
+    coef_rows = [{"name": name, **dict(zip(columns, row))} for name, row in zip(
+        data.covariate_names, np.column_stack(list(columns.values())).tolist())]
+    baseline_rows = [{"interval": j, "t": t, baseline_label: b}
+                     for j, t, b in zip(range(1, data.n_intervals + 1),
+                                        data.grid.breakpoints.tolist(),
+                                        baseline.tolist())]
     report = {
         "model": args.model,
         "n": data.n,
@@ -214,34 +217,25 @@ def cmd_fit(args):
     }
 
     if args.curve is not None:
-        if args.model == "plogit":
-            raise InputError("--curve supports --model prob or odds only")
         maker = prob_curve if args.model == "prob" else odds_curve
         # the curve's default variance is the mb2 estimate made above
         curve = maker(data, fit, x0=x0, variance=estimates.get("mb2"))
         write_curve_csv(curve, data.grid.breakpoints, args.curve)
         report["warnings"] += list(curve.warnings)
 
-    _emit_report(report, args)
+    _write_json(report, args.json)
+    if args.json != "-":
+        _print_fit_table(report, include_baseline=args.baseline)
     return 0
 
 
 def _write_json(report, target):
     """Write ``report`` to the ``--json`` target ('-' for stdout), if any."""
-    if target is None:
-        return
-    text = dump_json(report)
     if target == "-":
-        print(text)
-    else:
+        dump_json(report, sys.stdout)
+    elif target is not None:
         with open(target, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _emit_report(report, args):
-    _write_json(report, args.json)
-    if args.json != "-":
-        _print_fit_table(report, include_baseline=getattr(args, "baseline", False))
+            dump_json(report, fh)
 
 
 def _print_fit_table(report, include_baseline=False):
@@ -259,9 +253,9 @@ def _print_fit_table(report, include_baseline=False):
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     if include_baseline:
         label = next(k for k in report["baseline"][0] if k.startswith("log_"))
-        print(f"\ninterval  t        {label}")
-        for b in report["baseline"]:
-            print(f"{b['interval']:<8d}  {b['t']:<7.3f}  {b[label]:.3f}")
+        print("\n".join([f"\ninterval  t        {label}",
+                         *(f"{b['interval']:<8d}  {b['t']:<7.3f}  {b[label]:.3f}"
+                           for b in report["baseline"])]))
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
 
@@ -269,21 +263,21 @@ def _print_fit_table(report, include_baseline=False):
 def cmd_discretize(args):
     data = _load_data(args)
     summary = risk_summary(data)
-    print("interval  t        at_risk  events")
-    for j in range(data.n_intervals):
-        print(f"{j + 1:<8d}  {data.grid.breakpoints[j]:<7.3f}  "
-              f"{summary.n_at_risk[j]:<7d}  {summary.n_events[j]:d}")
+    print("\n".join(["interval  t        at_risk  events", *(
+        f"{j:<8d}  {t:<7.3f}  {at_risk:<7d}  {events:d}"
+        for j, t, at_risk, events in zip(
+            range(1, data.n_intervals + 1), data.grid.breakpoints.tolist(),
+            summary.n_at_risk.tolist(), summary.n_events.tolist()))]))
     if args.out is not None:
-        import csv as _csv
+        # covariates in each subject's last interval (the first for y = 0)
+        epoch = np.searchsorted(data.firsts, np.maximum(data.y, 1), side="right") - 1
+        last = data.epochs[epoch, np.arange(data.n)]
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)  # it quotes the ids, which are user strings
             writer.writerow(["id", "interval", "event"] + data.covariate_names)
-            # covariates in each subject's last interval (the first for y = 0)
-            epoch = np.searchsorted(data.firsts, np.maximum(data.y, 1), side="right") - 1
-            last = data.epochs[epoch, np.arange(data.n)]
-            for sid, y, event, x in zip(data.ids.tolist(), data.y.tolist(),
-                                        data.delta.astype(int).tolist(), last.tolist()):
-                writer.writerow([sid, y, event] + [format_float(v) for v in x])
+            writer.writerows(zip(data.ids.tolist(), data.y.tolist(),
+                                 data.delta.astype(int).tolist(),
+                                 *map(format_column, last.T)))
     for w in data.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -329,8 +323,10 @@ def cmd_tables(args):
 
 
 def cmd_simulate(args):
-    with open(args.scenario) as fh:
+    with open(args.scenario, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise InputError(f"{args.scenario}: the scenario must be a JSON object")
     if args.reps is not None:
         raw["reps"] = args.reps
     env_seed = os.environ.get("DSURV_SEED")
@@ -356,7 +352,7 @@ _COMMANDS = {"fit": cmd_fit, "discretize": cmd_discretize,
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:
@@ -365,10 +361,10 @@ def main(argv=None) -> int:
     except (ConvergenceError, SingularMatrixError) as exc:
         print(f"error: convergence: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: input: invalid JSON ({exc})", file=sys.stderr)
         return 1
 

@@ -7,11 +7,21 @@ times are taken at face value as the discrete support, i.e. the grid is
 the set of distinct observed times and each subject sits at its own
 time.  The latter is how "original scale" analyses of datasets recorded
 in days are run.
+
+Every CSV is read as UTF-8 text.  Blank rows are skipped; any other row
+must have as many fields as the header.  Numeric cells are parsed by
+``float`` a column at a time (whitespace, ``1_000`` and ``inf`` pass),
+and the first bad cell is named by its column and data row.  Output
+writes every float at 17 significant digits, a column or a record at a
+time, in the bytes ``csv.writer`` would write.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -44,31 +54,49 @@ class SubjectTable:
     names: list
 
 
-def _read_rows(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+def _read_columns(path):
+    """The stripped header and the data columns, as lists of raw cells."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc}") from None
+    # a row is blank when its cells, joined, are whitespace
+    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
+    ragged = next(itertools.filterfalse(len(header).__eq__, map(len, rows)), None)
+    if ragged is not None:
+        raise InputError(f"{path}: ragged row with {ragged} fields "
+                         f"(header has {len(header)})")
+    cells = list(itertools.chain.from_iterable(itertools.islice(rows, 1, None)))
+    return header, [cells[k::len(header)] for k in range(len(header))]
 
 
-def _column(header, rows, name, path):
+def _column(header, columns, name, path):
     if name not in header:
         raise InputError(f"{path}: missing required column '{name}'")
-    k = header.index(name)
-    return [row[k].strip() for row in rows]
+    return columns[header.index(name)]
 
 
-def _floats(values, name, path):
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
+def _floats(cells, name, path):
+    # float() takes the whitespace around a cell, bar the ASCII separators
+    # \x1c-\x1f that str.strip() also removes; a column it refuses is
+    # parsed again one stripped cell at a time, to name the bad one
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        pass
+    out = np.empty(len(cells))
+    for i, cell in enumerate(cells):
         try:
-            out[i] = float(v)
+            out[i] = float(cell.strip())
         except ValueError:
             raise InputError(f"{path}: column '{name}', row {i + 1}: "
-                             f"cannot parse '{v}' as a number") from None
+                             f"cannot parse '{cell.strip()}' as a number") from None
     return out
 
 
@@ -77,26 +105,22 @@ def read_subject_csv(path) -> SubjectTable:
 
     Each subject has one row, so a repeated ``id`` is an input error.
     """
-    header, rows = _read_rows(path)
-    for row in rows:
-        if len(row) != len(header):
-            raise InputError(f"{path}: ragged row with {len(row)} fields "
-                             f"(header has {len(header)})")
-    ids = _column(header, rows, "id", path)
+    header, columns = _read_columns(path)
+    ids = list(map(str.strip, _column(header, columns, "id", path)))
     _, first, seen = np.unique(ids, return_index=True, return_inverse=True)
     repeat = np.flatnonzero(first[seen] != np.arange(len(ids)))
     if repeat.size:
         k = repeat[0]
         raise InputError(f"{path}: duplicate id '{ids[k]}' (rows {first[seen[k]] + 1} "
                          f"and {k + 1})")
-    time = _floats(_column(header, rows, "time", path), "time", path)
-    status = _floats(_column(header, rows, "status", path), "status", path)
+    time = _floats(_column(header, columns, "time", path), "time", path)
+    status = _floats(_column(header, columns, "status", path), "status", path)
     if np.any((status != 0) & (status != 1)):
         raise InputError(f"{path}: status must be 0 or 1")
     names = [h for h in header if h not in ("id", "time", "status")]
     if not names:
         raise InputError(f"{path}: no covariate columns")
-    cols = [_floats(_column(header, rows, nm, path), nm, path) for nm in names]
+    cols = [_floats(_column(header, columns, nm, path), nm, path) for nm in names]
     return SubjectTable(ids=ids, time=time, status=status.astype(bool),
                         covariates=np.column_stack(cols), names=names)
 
@@ -113,8 +137,9 @@ def build_data(table: SubjectTable, grid: TimeGrid | None = None,
     """
     if grid is not None and width is not None:
         raise InputError("give a grid or a bin width, not both")
-    if width is not None:
-        grid = TimeGrid.from_width(width, float(np.max(table.time)))
+    if width is not None:  # over the finite times; discretize names the rest
+        grid = TimeGrid.from_width(width, float(np.max(
+            table.time, initial=0.0, where=np.isfinite(table.time))))
     if grid is not None:
         return discretize((table.time, table.status, table.covariates), grid, censor,
                           ids=table.ids, covariate_names=table.names)
@@ -136,16 +161,16 @@ def read_person_period_csv(path) -> DiscreteSurvivalData:
     :class:`~dsurv.data.DiscreteSurvivalData`), without an ``(n, J, d)``
     array.
     """
-    header, rows = _read_rows(path)
-    ids = _column(header, rows, "id", path)
-    interval = _floats(_column(header, rows, "interval", path), "interval", path)
-    event = _floats(_column(header, rows, "event", path), "event", path)
+    header, columns = _read_columns(path)
+    ids = list(map(str.strip, _column(header, columns, "id", path)))
+    interval = _floats(_column(header, columns, "interval", path), "interval", path)
+    event = _floats(_column(header, columns, "event", path), "event", path)
     if np.any((event != 0) & (event != 1)):
         raise InputError(f"{path}: event must be 0 or 1")
     names = [h for h in header if h not in ("id", "interval", "event")]
     if not names:
         raise InputError(f"{path}: no covariate columns")
-    cols = np.column_stack([_floats(_column(header, rows, nm, path), nm, path)
+    cols = np.column_stack([_floats(_column(header, columns, nm, path), nm, path)
                             for nm in names])
     if np.any(interval != np.floor(interval)) or np.any(interval < 1):
         raise InputError(f"{path}: interval must be a positive integer")
@@ -183,12 +208,14 @@ def read_person_period_csv(path) -> DiscreteSurvivalData:
 
 def read_tables_csv(path) -> StratifiedTables:
     """Read stratified 2x2 counts ``stratum,n11,n12,n21,n22`` (file order)."""
-    header, rows = _read_rows(path)
-    counts = {nm: _floats(_column(header, rows, nm, path), nm, path)
+    header, columns = _read_columns(path)
+    counts = {nm: _floats(_column(header, columns, nm, path), nm, path)
               for nm in ("n11", "n12", "n21", "n22")}
     return StratifiedTables(**counts)
 
 
+# curve rows formatted per write, which bounds the text held in memory
+_ROWS_PER_WRITE = 1 << 14
 _CURVE_COLUMNS = ["k", "t_k", "hazard", "survival", "cumhaz",
                   "se_log_surv_robust", "se_log_surv_mb",
                   "se_surv_robust", "se_surv_mb", "flags"]
@@ -198,37 +225,43 @@ def write_curve_csv(curve, times, path) -> None:
     """One row per interval with the point curve, both SE pairs, and flags.
 
     ``times`` carries the grid breakpoints ``t_1..t_J`` (they are not
-    stored on the curve itself).
+    stored on the curve itself).  The bytes are those of ``csv.writer``.
     """
     times = np.asarray(times, dtype=float)
     if times.size != curve.hazards.size:
         raise InputError("times and curve length differ")
+    columns = [times, curve.hazards, curve.survival, curve.cumhaz,
+               curve.se_log_surv_robust, curve.se_log_surv_model_based,
+               curve.se_surv_robust, curve.se_surv_model_based]
+    flags = _csv_fields(curve.flags)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CURVE_COLUMNS)
-        for k in range(times.size):
-            writer.writerow([
-                k + 1,
-                format_float(times[k]),
-                format_float(curve.hazards[k]),
-                format_float(curve.survival[k]),
-                format_float(curve.cumhaz[k]),
-                format_float(curve.se_log_surv_robust[k]),
-                format_float(curve.se_log_surv_model_based[k]),
-                format_float(curve.se_surv_robust[k]),
-                format_float(curve.se_surv_model_based[k]),
-                curve.flags[k],
-            ])
+        fh.write(",".join(_CURVE_COLUMNS) + "\r\n")
+        for lo in range(0, times.size, _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            cells = zip(map(str, range(lo + 1, times.size + 1)),
+                        *(format_column(c[rows]) for c in columns), flags[rows])
+            fh.write("".join(map("{}\r\n".format, map(",".join, cells))))
+
+
+def _csv_fields(texts):
+    """Each text as ``csv.writer`` writes it among other fields."""
+    field = {}
+    for text in set(texts):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        field[text] = buf.getvalue().removesuffix(",\r\n")
+    return [field[text] for text in texts]
 
 
 def format_float(x) -> str:
-    """17-significant-digit decimal form; round-trips exactly."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17-significant-digit decimal form (``nan``, ``inf`` or ``-inf``
+    when not finite); round-trips exactly."""
+    return format(float(x), ".17g")
+
+
+def format_column(values) -> list:
+    """:func:`format_float` of each entry of a 1-D array."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).tolist()))
 
 
 def dump_json(obj, fh=None) -> str:
@@ -242,39 +275,45 @@ def dump_json(obj, fh=None) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=4096)
+def _key_head(key):
+    return json.dumps(key) + ": "
+
+
 def _write_json(obj, out, depth):
-    pad, inner = "  " * depth, "  " * (depth + 1)
+    # a container writes its float and int members in its own loop, so
+    # that a flat record or a float list costs no call per value
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, np.integer):
-        obj = int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.append(json.dumps(format_float(x)) if not math.isfinite(x)
-                   else format_float(x))
-    elif isinstance(obj, bool) or obj is None or isinstance(obj, int):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _write_json(val, out, depth + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+    if isinstance(obj, dict):
+        brackets, items = "{}", zip(map(_key_head, map(str, obj)), obj.values())
     elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(inner)
-            _write_json(val, out, depth + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        brackets, items = "[]", zip(itertools.repeat(""), obj)
     else:
-        raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+        if isinstance(obj, np.integer):
+            obj = int(obj)
+        if isinstance(obj, (float, np.floating)):
+            text = format_float(obj)
+            out.append(text if math.isfinite(obj) else f'"{text}"')
+        elif obj is None or isinstance(obj, (bool, int, str)):
+            out.append(json.dumps(obj))
+        else:
+            raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+        return
+    if not obj:
+        out.append(brackets)
+        return
+    inner = "  " * (depth + 1)
+    sep, comma = brackets[0] + "\n" + inner, ",\n" + inner
+    for head, val in items:
+        kind = type(val)
+        if kind is float:
+            text = format(val, ".17g")
+            out.append(sep + head + (text if math.isfinite(val) else f'"{text}"'))
+        elif kind is int:
+            out.append(sep + head + str(val))
+        else:
+            out.append(sep + head)
+            _write_json(val, out, depth + 1)
+        sep = comma
+    out.append("\n" + "  " * depth + brackets[1])

@@ -30,6 +30,7 @@ from . import prob as _prob
 from ._risksets import risk_set_aggregates
 from .data import CensorOption, DiscreteSurvivalData, TimeGrid, discretize
 from .errors import ConvergenceError, InputError, SingularMatrixError
+from .io import format_column
 from .plogit import _expit, fit_plogit, plogit_variances
 
 __all__ = [
@@ -220,9 +221,9 @@ def replicate(scenario: SimScenario, methods=("bp", "wmh", "plogit"),
     Replicates where a method's fit (or one of its variance estimates)
     fails are excluded from that method's aggregates and counted in
     ``n_failed``.  Results are indexed by replicate before reduction, so
-    they are identical for any ``threads``.  No method, an unknown
-    method, a variance kind no method defines or ``threads`` below 1 is
-    an ``InputError`` before any replicate runs.
+    they are identical for any ``threads``.  No method, an unknown or
+    repeated method, a variance kind no method defines, a repeated kind
+    or ``threads`` below 1 is an ``InputError`` before any replicate runs.
     """
     methods = list(methods)
     kinds = list(variance_kinds)
@@ -231,9 +232,11 @@ def replicate(scenario: SimScenario, methods=("bp", "wmh", "plogit"),
     defined = {k for table in _odds.VARIANCES.values() for k in table}
     for what, names, known in (("method", methods, ("bp", "wmh", "plogit")),
                                ("variance kind", kinds, defined)):
-        for name in names:
+        for k, name in enumerate(names):
             if name not in known:
                 raise InputError(f"unknown {what} '{name}'")
+            if name in names[:k]:
+                raise InputError(f"repeated {what} '{name}'")
     if threads < 1:
         raise InputError(f"threads must be at least 1 (got {threads})")
     reps, d = scenario.reps, 5
@@ -290,20 +293,14 @@ def summary_to_csv(summary: SimSummary, fh) -> None:
         header += [f"{tag}_mean", f"{tag}_sd"]
         header += [f"{tag}_se_{k}" for k in summary.se_mean[m]]
     header += [f"{_DISPLAY.get(m, m)}_failed" for m in summary.methods]
+    columns = [summary.coef_names]
+    for m in summary.methods:
+        columns += map(format_column, [summary.point_mean[m], summary.point_sd[m],
+                                       *summary.se_mean[m].values()])
+    columns += [[summary.n_failed[m]] * len(summary.coef_names) for m in summary.methods]
     writer = csv.writer(fh)
     writer.writerow(header)
-    for i, name in enumerate(summary.coef_names):
-        row = [name]
-        for m in summary.methods:
-            row += [_fmt(summary.point_mean[m][i]), _fmt(summary.point_sd[m][i])]
-            row += [_fmt(v[i]) for v in summary.se_mean[m].values()]
-        row += [summary.n_failed[m] for m in summary.methods]
-        writer.writerow(row)
-
-
-def _fmt(x):
-    from .io import format_float
-    return format_float(float(x))
+    writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ disagreement always points at exactly one side.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -1053,3 +1056,77 @@ def odds_log_survival(y, delta, X, beta, x0, k, J=None):
             continue
         total += math.log(1.0 - 1.0 / (1.0 + math.exp(-(z + float(x0 @ beta)))))
     return total
+
+
+# ---------------------------------------------------------------------------
+# JSON and CSV emission, one value and one row at a time
+# ---------------------------------------------------------------------------
+
+def _format_float(x):
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".17g")
+
+
+def dump_json_recursive(obj):
+    """The report JSON written by one recursive call per value: floats at
+    17 significant digits, non-finite ones as quoted strings."""
+    out = []
+    _write_json(obj, out, 0)
+    return "".join(out)
+
+
+def _write_json(obj, out, depth):
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, np.integer):
+        obj = int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(json.dumps(_format_float(x)) if not math.isfinite(x)
+                   else _format_float(x))
+    elif isinstance(obj, bool) or obj is None or isinstance(obj, int):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for k, (key, val) in enumerate(obj.items()):
+            out.append(f"{inner}{json.dumps(str(key))}: ")
+            _write_json(val, out, depth + 1)
+            out.append(",\n" if k < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not len(obj):
+            out.append("[]")
+            return
+        out.append("[\n")
+        for k, val in enumerate(obj):
+            out.append(inner)
+            _write_json(val, out, depth + 1)
+            out.append(",\n" if k < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+
+
+def curve_csv_text(curve, times):
+    """The survival-curve CSV, one ``csv.writer`` row per interval."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["k", "t_k", "hazard", "survival", "cumhaz",
+                     "se_log_surv_robust", "se_log_surv_mb", "se_surv_robust",
+                     "se_surv_mb", "flags"])
+    for k in range(len(times)):
+        writer.writerow([k + 1] + [_format_float(v[k]) for v in (
+            times, curve.hazards, curve.survival, curve.cumhaz,
+            curve.se_log_surv_robust, curve.se_log_surv_model_based,
+            curve.se_surv_robust, curve.se_surv_model_based)] + [curve.flags[k]])
+    return fh.getvalue()

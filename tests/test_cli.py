@@ -6,6 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
+import dsurv.cli
+import dsurv.io
 from dsurv import __version__
 from dsurv.cli import main
 from dsurv.io import dump_json
@@ -320,8 +322,10 @@ def test_simulate_seed_precedence(tmp_path, monkeypatch, capsys):
     (["--variances", "robust,zzz"], "unknown variance kind 'zzz'"),
     (["--threads", "0"], "threads must be at least 1 (got 0)"),
     (["--threads", "-1"], "threads must be at least 1 (got -1)"),
+    (["--methods", "bp,wmh,bp"], "repeated method 'bp'"),
+    (["--variances", "robust,mb2,robust"], "repeated variance kind 'robust'"),
 ], ids=["unknown-method", "no-methods", "blank-methods", "unknown-kind",
-        "no-threads", "negative-threads"])
+        "no-threads", "negative-threads", "repeated-method", "repeated-kind"])
 def test_simulate_rejects_what_it_cannot_run(tmp_path, capsys, options,
                                              message):
     out = tmp_path / "out.csv"
@@ -371,11 +375,13 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
 
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; import dsurv, dsurv.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, "
+            "dsurv.cli._parser.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "False"
+    # nor does it build the argument parser, which the first main() does
+    assert out.stdout.strip() == "False 0"
 
 
 def test_plogit_report_is_the_same_from_either_information_layout(
@@ -407,3 +413,110 @@ def test_plogit_report_is_the_same_from_either_information_layout(
     assert layouts[0] < layouts[1] == (report["n_intervals"]
                                        + len(report["coefficients"]))
     assert compact.read_bytes() == full.read_bytes()
+
+
+def test_consecutive_calls_in_one_process_share_no_state(tmp_path):
+    # the parser is built once per process; --tdc appends to a copy of
+    # its default, so a call without it sees no step term
+    data = _subject_csv(tmp_path)
+    reports = []
+    for k, options in enumerate([[], ["--tdc", "x1:1", "--tdc", "x2:2"], []]):
+        out = tmp_path / f"report{k}.json"
+        assert main(["fit", "--model", "prob", "--data", data, *options,
+                     "--json", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[2]
+    assert len(json.loads(reports[1])["coefficients"]) == 4
+    assert dsurv.cli._parser().parse_args(
+        ["fit", "--model", "prob", "--data", data]).tdc == []
+    assert dsurv.cli._parser.cache_info().currsize == 1
+
+
+def _assert_input_error(capsys, argv, message=None):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: ")
+    assert "Traceback" not in err
+    if message is not None:
+        assert err == f"error: input: {message}\n"
+
+
+_READERS = [["fit", "--model", "prob"], ["discretize"], ["tables"]]
+
+
+@pytest.mark.parametrize("command", _READERS, ids=["fit", "discretize", "tables"])
+def test_a_file_that_is_not_utf8_fails_with_input_error(tmp_path, capsys,
+                                                        command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,time,status,x\na,1,1,caf\u00e9\n".encode("latin-1"))
+    _assert_input_error(capsys, [*command, "--data", str(path)],
+                        f"{path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", _READERS, ids=["fit", "discretize", "tables"])
+def test_data_that_is_a_directory_fails_with_input_error(tmp_path, capsys,
+                                                         command):
+    _assert_input_error(capsys, [*command, "--data", str(tmp_path)],
+                        f"[Errno 21] Is a directory: '{tmp_path}'")
+
+
+def test_unreadable_data_fails_with_input_error(tmp_path, capsys, monkeypatch):
+    # the suite may run as root, which reads any file, so the refusal is
+    # made by the reader's open()
+    path = _subject_csv(tmp_path)
+
+    def refuse(name, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", name)
+
+    monkeypatch.setattr(dsurv.io, "open", refuse, raising=False)
+    _assert_input_error(capsys, ["fit", "--model", "prob", "--data", path],
+                        f"[Errno 13] Permission denied: '{path}'")
+
+
+@pytest.mark.parametrize("command", _READERS[:2], ids=["fit", "discretize"])
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_a_non_finite_time_with_a_width_fails_with_input_error(
+        tmp_path, capsys, command, time):
+    path = tmp_path / "subjects.csv"
+    path.write_text(_SUBJECTS.replace("\n2,1,0,", f"\n2,{time},0,"))
+    _assert_input_error(capsys, [*command, "--data", str(path), "--width", "1"],
+                        "record 1: non-finite time")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "the scenario must be a JSON object"),
+    (b"5", "the scenario must be a JSON object"),
+    (b"null", "the scenario must be a JSON object"),
+], ids=["list", "number", "null"])
+def test_a_scenario_that_is_not_a_json_object_fails_with_input_error(
+        tmp_path, capsys, content, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    _assert_input_error(capsys, ["simulate", "--scenario", str(path)],
+                        f"{path}: {message}")
+
+
+def test_a_scenario_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"n": "\xff"}')
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: input: invalid JSON (")
+
+
+@pytest.mark.parametrize("model, options, message", [
+    ("prob", ["--x0", "nan,1"], "x0 must be finite"),
+    ("odds", ["--x0", "1,inf", "--curve", "curve.csv"], "x0 must be finite"),
+    ("plogit", ["--x0=-inf,1"], "x0 must be finite"),
+    ("plogit", ["--curve", "curve.csv"],
+     "--curve supports --model prob or odds only"),
+], ids=["prob-x0", "odds-x0-curve", "plogit-x0", "plogit-curve"])
+def test_a_bad_profile_or_curve_request_fails_before_any_fit(
+        tmp_path, capsys, monkeypatch, model, options, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    for name in ("fit_gamma", "fit_beta", "fit_plogit"):
+        monkeypatch.setattr(dsurv.cli, name, never)
+    options = [str(tmp_path / v) if v.endswith(".csv") else v for v in options]
+    _assert_input_error(capsys, ["fit", "--model", model, "--data",
+                                 _subject_csv(tmp_path), *options], message)

@@ -5,9 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles as o
+import dsurv.io
 from dsurv import (DiscreteSurvivalData, InputError, Static, SubjectRecord,
-                   TimeGrid, fit_beta, odds_curve)
+                   SurvivalCurve, TimeGrid, fit_beta, odds_curve)
 from dsurv.data import CensorOption
 from dsurv.io import (build_data, dump_json, format_float,
                       read_person_period_csv, read_subject_csv,
@@ -208,3 +212,115 @@ def test_write_curve_csv(tmp_path):
 
     with pytest.raises(InputError, match="length differ"):
         write_curve_csv(curve, [1.0], str(tmp_path / "other.csv"))
+
+
+def test_read_subject_csv_takes_what_float_takes(tmp_path):
+    # cells keep float()'s syntax and surrounding whitespace; blank rows
+    # (empty, whitespace only, or empty cells) are dropped anywhere
+    text = ("\n id , time,status ,x\n"
+            " a ,\t10 ,1, 1_000\n"
+            ",,,\n"
+            "   \n"
+            "b,2.5e1,0,-inf\n"
+            "c,\x1f7\u00a0,1,\u20030.5\n")
+    table = read_subject_csv(_write(tmp_path / "subj.csv", text))
+    assert table.ids == ["a", "b", "c"] and table.names == ["x"]
+    np.testing.assert_array_equal(table.time, [10.0, 25.0, 7.0])
+    np.testing.assert_array_equal(table.covariates[:, 0], [1000.0, -np.inf, 0.5])
+    # data rows are numbered without the blank ones
+    with pytest.raises(InputError, match=r"column 'x', row 4: cannot parse '0x'"):
+        read_subject_csv(_write(tmp_path / "bad.csv", text + "\nd, 7,1,  0x\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,time,status,x\na,1,1,2\nb,2,0\nc,3,1,4,5\n",
+     r"ragged row with 3 fields \(header has 4\)"),
+    ("id,time,status,x\na,1,1,2\n\nb,2,0,3,9\nc,3,1\n",
+     r"ragged row with 5 fields \(header has 4\)"),
+    ("id,time,status,x\na,1,1,2\nb,x,0,3\nc,y,1,4\n",
+     "column 'time', row 2: cannot parse 'x' as a number"),
+    ("id,time,status,x\na,1,1,2\n , \nb,2,0, 3 \nc,3,1,oops \n",
+     "column 'x', row 3: cannot parse 'oops' as a number"),
+    ("id,time,status,x\na,1,1,2\n b ,2,0,3\nb,3,1,4\n",
+     r"duplicate id 'b' \(rows 2 and 3\)"),
+], ids=["short-row-first", "long-row-first", "first-bad-cell",
+        "bad-cell-after-blank-row", "duplicate-stripped-id"])
+def test_read_subject_csv_names_the_first_bad_row(tmp_path, text, message):
+    with pytest.raises(InputError, match=message):
+        read_subject_csv(_write(tmp_path / "bad.csv", text))
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_person_period_csv, "id,interval,event,z\na,1,0,1\na,2,1\n"),
+    (read_tables_csv, "stratum,n11,n12,n21,n22\n1,4,6,2,8,9\n"),
+], ids=["person-period", "tables"])
+def test_every_reader_rejects_ragged_rows(tmp_path, reader, text):
+    with pytest.raises(InputError, match="ragged row"):
+        reader(_write(tmp_path / "bad.csv", text))
+
+
+def test_readers_reject_files_that_are_not_csv_text(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,time,status,x\na,1,1,caf\u00e9\n".encode("latin-1"))
+    for reader in (read_subject_csv, read_person_period_csv, read_tables_csv):
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            reader(str(path))
+    huge = _write(tmp_path / "huge.csv", 'id,time,status,x\n"' + "a" * 200_000
+                  + '",1,1,2\n')
+    with pytest.raises(InputError, match="field larger than field limit"):
+        read_subject_csv(huge)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_build_data_names_a_non_finite_time_before_it_sets_a_width_grid(
+        tmp_path, bad):
+    table = read_subject_csv(_write(tmp_path / "subj.csv",
+                                    f"id,time,status,x\na,1,1,0\nb,{bad},0,1\n"))
+    with pytest.raises(InputError, match="record 1: non-finite time"):
+        build_data(table, width=1.0)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_leaves = st.one_of(
+    _floats, st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, float("-nan")]),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30), st.booleans(),
+    st.none(), st.text(max_size=6),
+    _floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int64),
+    st.integers(-2 ** 15, 2 ** 15 - 1).map(np.int32),
+    st.lists(_floats, max_size=4).map(np.array),
+    st.lists(st.integers(-5, 5), min_size=2, max_size=4).map(
+        lambda v: np.array(v).reshape(-1, 1)))
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=5), st.integers(-3, 3),
+                                  st.booleans()), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_documents)
+def test_dump_json_writes_the_bytes_of_the_one_call_per_value_writer(obj):
+    assert dump_json(obj) == o.dump_json_recursive(obj)
+
+
+def test_write_curve_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+    # J spans several blocks of rows written at once; the flags include
+    # text that csv.writer must quote
+    monkeypatch.setattr(dsurv.io, "_ROWS_PER_WRITE", 7)
+    rng = np.random.default_rng(3)
+    J = 300
+    cols = rng.standard_normal((7, J)) * 10.0 ** rng.integers(-310, 300, (7, J))
+    cols[:, ::11] = np.nan
+    cols[1, ::13] = np.inf
+    cols[2, ::17] = -0.0
+    cols[3, 5::19] = 5e-324
+    flags = ["", "se_undefined", "nonpositive_survival;se_undefined",
+             'odd, "quoted"', "two\nlines"]
+    curve = SurvivalCurve("prob", *cols, flags=[flags[k % 5] for k in range(J)])
+    times = np.cumsum(rng.random(J))
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, times, str(path))
+    assert path.read_bytes() == o.curve_csv_text(curve, times).encode()

@@ -105,7 +105,11 @@ def test_failed_fits_are_counted_and_excluded():
     (dict(methods=()), "no method to fit"),
     (dict(variance_kinds=("robust", "zzz")), "unknown variance kind 'zzz'"),
     (dict(threads=0), "threads must be at least 1"),
-], ids=["unknown-method", "no-methods", "unknown-kind", "no-threads"])
+    (dict(methods=("bp", "wmh", "bp")), "repeated method 'bp'"),
+    (dict(variance_kinds=("robust", "robust")),
+     "repeated variance kind 'robust'"),
+], ids=["unknown-method", "no-methods", "unknown-kind", "no-threads",
+        "repeated-method", "repeated-kind"])
 def test_replicate_rejects_a_request_before_any_replicate_runs(
         kwargs, message, monkeypatch):
     # an unknown method was once counted as a failed fit in every
