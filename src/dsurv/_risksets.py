@@ -45,10 +45,19 @@ analysis computes each of them once:
 * the ``prob`` fit's converged root under its ``(tol, max_iter)``, the
   default start of the ``odds`` fit;
 * per model, the influence rows at one coefficient vector, which the
-  robust variance and the curve share (read-only).
+  robust variance and the curve share (read-only);
+* ``"person_period"``: the ``plogit`` person-period, which the fit and
+  its variances share (``plogit._person_period``).  It keeps the layout
+  arrays it reads, not the engine, so the two form no reference cycle,
+  and it holds no tiles between passes.
 
 The same store keeps, per epoch, positions that depend on the layout
-alone: the interval each row of the epoch sums through.
+alone: the interval each row of the epoch sums through
+(``subject_sums``).  For every span but a subject's own event the rows
+that sum through some interval are a prefix of the engine's order,
+since that interval never increases down the order; such a pass reads
+the prefix ``Xc[:r]`` and adds into ``out[:r]`` with no row gather.
+Every other gather of rows is one ``np.take`` along axis 0.
 """
 
 from __future__ import annotations
@@ -239,20 +248,15 @@ class _Layout:
     def block_sums(self, values):
         return np.add.reduceat(values, self.starts, axis=0)
 
-    def read(self, prefix, blocks, top=None, block_top=None, scale=None):
+    def read(self, prefix, blocks, top, block_top, scale):
         """Risk-set, event-free and event sums from block sums and their
         prefix sums, rescaled from the blocks' scales to ``scale``."""
         risk = prefix[self.risk]
-        free = prefix[self.at_free]
-        events = blocks[self.events]
         lead = (slice(None),) + (None,) * (prefix.ndim - 1)
-        if top is None:
-            free = np.where(self.has_free[lead], free, 0.0)
-        else:
-            f_fac = np.where(self.has_free, np.exp(top[self.at_free] - scale),
-                             0.0)
-            free = free * f_fac[lead]
-            events = events * np.exp(block_top[self.events] - scale)[lead]
+        f_fac = np.where(self.has_free, np.exp(top[self.at_free] - scale), 0.0)
+        free = prefix[self.at_free] * f_fac[lead]
+        events = (blocks[self.events]
+                  * np.exp(block_top[self.events] - scale)[lead])
         return risk, free, events
 
     def spread(self, block_top, scale, risk=None, free=None, events=None):
@@ -333,6 +337,8 @@ class RiskSets:
     ``order`` sorts subjects by decreasing ``y_index``, censored before
     events within one ``y_index`` (stably otherwise); the risk set of
     interval ``j`` is the first ``n_j`` subjects of that order.
+    ``rank`` is its inverse, each subject's position in it, which puts
+    rows in that order back in subject order with one ``np.take``.
     """
 
     def __init__(self, data: DiscreteSurvivalData):
@@ -341,6 +347,8 @@ class RiskSets:
         self.n_at_risk = summary.n_at_risk
         self.n_events = summary.n_events
         self.order = np.lexsort((data.delta, -data.y))
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(self.n)
         self.event_intervals = np.flatnonzero(self.n_events > 0) + 1
         self._y = data.y[self.order]
         self._delta = data.delta[self.order]
@@ -349,7 +357,7 @@ class RiskSets:
         lasts = np.r_[firsts[1:] - 1, J]
         self._epochs = []
         for lo, hi in zip(firsts, lasts):
-            X = data.covariates_at(int(lo))[self.order]
+            X = np.take(data.covariates_at(int(lo)), self.order, axis=0)
             ks = self.event_intervals[(self.event_intervals >= lo)
                                       & (self.event_intervals <= hi)]
             lay = _Layout(ks, self.n_at_risk, self.n_events) if ks.size else None
@@ -375,13 +383,13 @@ class RiskSets:
             yield lo, hi, lay, center, Xc, SD1, slice(at, at + lay.ks.size)
             at += lay.ks.size
 
-    def _sorted(self, values, e):
-        """Rows of a per-subject array (or of its epoch ``e`` slice) in
-        the engine's order."""
+    def _sorted(self, values, e, rows):
+        """The first ``rows`` rows, in the engine's order, of a
+        per-subject array (or of its epoch ``e`` slice)."""
         values = np.asarray(values, dtype=float)
         if values.ndim == 3:
             values = values[e]
-        return values[self.order]
+        return np.take(values, self.order[:rows], axis=0)
 
     def aggregates(self, coef, squares: int | None = None,
                    payload=None) -> Aggregates:
@@ -398,7 +406,7 @@ class RiskSets:
         for e, (_, _, lay, center, Xc, SD1, sel) in enumerate(self._live_epochs()):
             Z = None
             if payload is not None:
-                Z = self._sorted(payload, e)[:lay.rows]
+                Z = self._sorted(payload, e, lay.rows)
             part, w, blkmax = _weighted_sums(lay, Xc, Xc @ coef, 1, squares, Z)
             part["offset"] = np.full(lay.ks.size, float(center @ coef))
             part["center"] = np.broadcast_to(center, (lay.ks.size, self.d))
@@ -474,15 +482,16 @@ class RiskSets:
 
     def set_sums(self, values):
         """Unweighted sums of a per-subject ``(n, p)`` array (or one per
-        epoch of ``epoch_spans``, stacked) over the risk set, the
-        event-free members and the events of every event interval:
-        three ``(K, p)`` arrays."""
-        out = ([], [], [])
+        epoch of ``epoch_spans``, stacked) over the event-free members
+        and the events of every event interval: two ``(K, p)`` arrays."""
+        out = ([], [])
         for e, (lo, hi, lay, *_) in enumerate(self._live_epochs()):
-            V = self._sorted(values, e)[:lay.rows]
-            blocks = lay.block_sums(V)
-            for acc, arr in zip(out, lay.read(np.cumsum(blocks, axis=0), blocks)):
-                acc.append(arr)
+            blocks = lay.block_sums(self._sorted(values, e, lay.rows))
+            out[1].append(blocks[lay.events])
+            # the prefix sums overwrite the block sums: one (blocks, p) array
+            prefix = np.cumsum(blocks, axis=0, out=blocks)
+            out[0].append(np.where(lay.has_free[:, None], prefix[lay.at_free],
+                                   0.0))
         p = np.shape(values)[-1]
         return tuple(np.concatenate(acc) if acc else np.zeros((0, p))
                      for acc in out)
@@ -510,48 +519,56 @@ class RiskSets:
             cut = before if before is not None and before <= hi else None
             if cut is not None and cut <= lo:
                 continue
-            take, at = self._sum_positions(lo, hi, lay, span, cut)
+            rows, at = self._sum_positions(lo, hi, lay, span, cut)
             if span == "event":
-                vals = B[sel][at]
+                vals = np.take(B[sel], at, axis=0)
+                if a is not None or log_weight is not None:
+                    Xr = np.take(Xc, rows, axis=0)
                 if a is not None:
-                    vals = a[sel][at, None] * Xc[take] + vals
+                    vals = np.take(a[sel], at)[:, None] * Xr + vals
                 if log_weight is not None:
-                    vals = vals * np.exp(Xc[take] @ coef + float(center @ coef)
-                                         + log_weight[sel][at])[:, None]
-                out[take] += vals
+                    vals = vals * np.exp(Xr @ coef + float(center @ coef)
+                                         + np.take(log_weight[sel], at))[:, None]
+                out[rows] += vals
                 continue
             V = B[sel] if a is None else np.column_stack([a[sel], B[sel]])
             if log_weight is None:
                 cum, top = np.cumsum(V, axis=0), np.zeros(V.shape[0])
             else:
                 cum, top = _scaled_cumsum(log_weight[sel] + float(center @ coef), V)
-            vals = cum[at]
+            vals = np.take(cum, at, axis=0)
             if a is not None:
-                vals = vals[:, :1] * Xc[take] + vals[:, 1:]
+                vals = vals[:, :1] * Xc[:rows] + vals[:, 1:]
             if log_weight is not None:
-                vals = vals * np.exp(Xc[take] @ coef + top[at])[:, None]
-            out[take] += vals
-        result = np.empty_like(out)
-        result[self.order] = out
-        return result
+                vals = vals * np.exp(Xc[:rows] @ coef + np.take(top, at))[:, None]
+            out[:rows] += vals
+        return np.take(out, self.rank, axis=0)
 
     def _sum_positions(self, lo, hi, lay, span, before):
-        """``(take, at)`` of ``subject_sums`` in the epoch ``lo..hi``: the
+        """``(rows, at)`` of ``subject_sums`` in the epoch ``lo..hi``: the
         rows, in the engine's order, that sum over some of its event
         intervals, and the index in ``lay.ks`` of the last interval each
         sums through (its own event interval for ``span="event"``).
-        They depend on the layout alone, so each is computed once and
-        kept in the narrowest integer type that holds the epoch's rows."""
+
+        For ``span="event"``, ``rows`` are the event rows' positions.
+        For the other spans the last interval a row sums through never
+        increases down the order (``y`` decreases, censored rows come
+        first within one ``y``), so the rows that sum over any are a
+        prefix and ``rows`` is its length.  Both depend on the layout
+        alone, so each is computed once and kept, positions in the
+        narrowest integer type that holds the epoch's rows."""
         slot = ("positions", lo, span)
         got = self.recall(slot, before)
         if got is None:
             y, delta = self._y[:lay.rows], self._delta[:lay.rows]
             own = delta & (y <= hi)
+            index = np.min_scalar_type(lay.rows)
             if span == "event":
                 if before is not None:
                     own = own & (y < before)
                 take = np.flatnonzero(own)
-                at = np.searchsorted(lay.ks, y[take])
+                got = (take.astype(index),
+                       np.searchsorted(lay.ks, y[take]).astype(index))
             else:
                 last = np.minimum(y, hi)
                 if span == "before_event":
@@ -559,10 +576,8 @@ class RiskSets:
                 if before is not None:
                     last = np.minimum(last, before - 1)
                 at = np.searchsorted(lay.ks, last, side="right") - 1
-                take = np.flatnonzero(at >= 0)
-                at = at[take]
-            index = np.min_scalar_type(lay.rows)
-            got = (take.astype(index), at.astype(index))
+                rows = int(np.count_nonzero(at >= 0))
+                got = (rows, at[:rows].astype(index))
             self.keep(slot, before, got)
         return got
 
@@ -573,8 +588,8 @@ class RiskSets:
         count = 0
         for lo, hi, lay, center, Xc, _, sel in self._live_epochs():
             gk = g[sel]
-            take, at = self._sum_positions(lo, hi, lay, "all", None)
-            eta = (Xc @ coef + float(center @ coef))[take]
+            rows, at = self._sum_positions(lo, hi, lay, "all", None)
+            eta = (Xc @ coef + float(center @ coef))[:rows]
             cand = np.flatnonzero(eta + np.maximum.accumulate(gk)[at] > 0)
             # the few candidates are counted exactly, a bounded chunk at a time
             step = max(1, _TILE // gk.size)
@@ -585,49 +600,25 @@ class RiskSets:
                 count += int(hit.sum())
         return count
 
-    def tiles(self, intervals):
-        """Dense tiles over the risk sets of ``intervals`` (1-based,
-        increasing).
-
-        Yields ``(X, span, tiles)`` for each epoch that holds some of
-        them: ``X`` the epoch's covariates in the engine's order over
-        its largest risk set, ``span`` the slice of ``intervals`` in the
-        epoch and ``tiles`` a list of ``(rows, cols)``, a slice of
-        ``intervals`` and a slice of the rows of ``X``.  A tile covers
-        the first ``n_j`` columns of each of its intervals ``j`` (members
-        of later intervals come first, so these are the risk set) and
-        columns past an interval's ``n_j``, which its caller masks; it
-        holds at most ``_TILE`` entries.
-        """
+    def epoch_rows(self, intervals):
+        """``(X, span)`` of each epoch that holds some of ``intervals``
+        (1-based, increasing): ``X`` the epoch's covariates in the
+        engine's order over the largest risk set of those intervals and
+        ``span`` the slice of ``intervals`` in the epoch."""
         intervals = np.asarray(intervals)
-        width = self.n_at_risk[intervals - 1]
         firsts = [lo for lo, *_ in self._epochs]
         edges = np.searchsorted(intervals, firsts + [np.inf])
         for e, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
-            if start == stop:
-                continue
-            tiles = []
-            at = start
-            while at < stop:
-                m = int(width[at])
-                rows = min(stop - at, max(1, _TILE // max(m, 1)))
-                step = _TILE // rows
-                tiles += [(slice(at, at + rows), slice(lo, min(lo + step, m)))
-                          for lo in range(0, m, step)]
-                at += rows
-            yield (self._epochs[e][2][:width[start]], slice(start, stop),
-                   tiles)
+            if start < stop:
+                rows = self.n_at_risk[intervals[start] - 1]
+                yield self._epochs[e][2][:rows], slice(start, stop)
 
     def epoch_predictors(self, coef):
         """(first interval, last interval, true linear predictor per
         subject) for every epoch, in subject order."""
         coef = np.asarray(coef, dtype=float)
-        out = []
-        for lo, hi, X, *_ in self._epochs:
-            eta = np.empty(self.n)
-            eta[self.order] = X @ coef
-            out.append((lo, hi, eta))
-        return out
+        return [(lo, hi, np.take(X @ coef, self.rank))
+                for lo, hi, X, *_ in self._epochs]
 
     def epoch_spans(self):
         """(first interval, slice of the event intervals) of every epoch

@@ -111,6 +111,22 @@ def _number_list(text, option):
                          f"(got '{text}')") from None
 
 
+def _check_outputs(*targets):
+    """Fail before any work where an ``(option, path)`` output target
+    cannot be written: a directory, or in a directory that is missing or
+    is not one.  Creates and truncates nothing; ``None`` is no target
+    and ``--json -`` is stdout."""
+    for option, path in targets:
+        if path is None or path == "-":
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise InputError(f"{option}: '{path}' is a directory")
+        if not os.path.isdir(folder):
+            reason = "not a directory" if os.path.exists(folder) else "no such directory"
+            raise InputError(f"{option}: {reason}: '{folder}'")
+
+
 def _load_data(args):
     """Read ``--data`` for ``fit`` and ``discretize``, on the grid the
     options select, with any ``--tdc`` step terms appended."""
@@ -159,6 +175,7 @@ def _variance_kinds(args, model):
 
 def cmd_fit(args):
     check_settings(args.tol, args.max_iter, "--tol", "--max-iter")
+    _check_outputs(("--json", args.json), ("--curve", args.curve))
     data = _load_data(args)
     kinds = _variance_kinds(args, args.model)
     x0 = None
@@ -261,6 +278,7 @@ def _print_fit_table(report, include_baseline=False):
 
 
 def cmd_discretize(args):
+    _check_outputs(("--out", args.out))
     data = _load_data(args)
     summary = risk_summary(data)
     print("\n".join(["interval  t        at_risk  events", *(
@@ -284,6 +302,7 @@ def cmd_discretize(args):
 
 
 def cmd_tables(args):
+    _check_outputs(("--json", args.json))
     tables = read_tables_csv(args.data)
     report = {"n_strata": tables.n_strata}
     try:
@@ -323,6 +342,7 @@ def cmd_tables(args):
 
 
 def cmd_simulate(args):
+    _check_outputs(("--out", args.out))
     with open(args.scenario, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):

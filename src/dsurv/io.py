@@ -143,6 +143,9 @@ def build_data(table: SubjectTable, grid: TimeGrid | None = None,
     if grid is not None:
         return discretize((table.time, table.status, table.covariates), grid, censor,
                           ids=table.ids, covariate_names=table.names)
+    bad = np.flatnonzero(~np.isfinite(table.time))
+    if bad.size:  # named as discretize names it, before the grid is made
+        raise InputError(f"record {bad[0]}: non-finite time")
     if np.any(table.time <= 0):
         raise InputError("as-discrete ingestion needs strictly positive times")
     times = np.unique(table.time)

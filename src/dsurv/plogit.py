@@ -18,11 +18,14 @@ Risk sets are nested prefixes of one subject order.  One pass gives the
 log likelihood, the scores and the arrow blocks: intervals whose odds are
 small by power series over prefix sums, O(n M d) per epoch for M terms
 (nearly every interval on the original time scale), the others as dense
-tiles of the risk-set engine, O(sum_j n_j d).  Working memory is
-O(n d + K d^2) for K included intervals plus buffers of at most
-``_risksets._TILE`` entries, never proportional to sum_j n_j.  A fit
-keeps the arrow blocks; its dense (J + d)^2 or (K + d)^2 information is
-built on read.
+tiles, O(sum_j n_j d).  Working memory is O(n d + K d^2) for K included
+intervals plus buffers of at most ``_risksets._TILE`` entries, never
+proportional to sum_j n_j.  The person-period is built once per dataset
+and kept in the engine's store, so a fit and its variances share it;
+tiles, and the scratch space they are formed in, exist only during a
+pass and only for the intervals the series leaves.  A fit keeps the
+arrow blocks; its dense (J + d)^2 or (K + d)^2 information is built on
+read.
 
 A tile whose entries ``Z = b0_k + eta_i`` are all at most 0 (tested as
 ``max b0_k + max eta_i <= 0``) forms ``e^Z`` as the outer product of
@@ -120,7 +123,7 @@ def _dense_information(a, C, F, pos, m):
 class _PersonPeriod:
     """The person-period rows of the intervals that carry a finite
     intercept, summed by ``_series`` where ``_split`` finds the odds
-    small, else visited as the dense tiles of ``RiskSets.tiles``.
+    small, else visited as the dense tiles of ``_tiles``.
 
     Each tile holds the rows ``Z = b0_k + eta_i`` of a block of
     intervals ``k`` and a block of the subjects in the engine's order;
@@ -128,36 +131,65 @@ class _PersonPeriod:
     variance and ``log(1 + e^Z)`` are exactly 0.  Event rows enter in
     closed form: interval ``k``'s events are the rows
     ``[n_k - T_k, n_k)`` of its epoch.
+
+    Per epoch it keeps ``(X, span)`` only: tiles are made during a pass,
+    for the intervals that pass leaves to them, and none outlives it.
+    It keeps the engine's ``rank`` and layout arrays, not the engine,
+    which keeps it (``_person_period``).
     """
 
     def __init__(self, data):
-        rs = self.rs = data.risk_sets
+        rs = data.risk_sets
+        self.n, self.rank = rs.n, rs.rank
         self.live = (rs.n_events > 0) & (rs.n_events < rs.n_at_risk)
-        self.js = np.flatnonzero(self.live) + 1
-        self.K = self.js.size
-        self.T = rs.n_events[self.js - 1].astype(float)
-        self.m = rs.n_at_risk[self.js - 1]
-        self.epochs = list(rs.tiles(self.js))
-        # (event rows, their interval) of each epoch, and the event sum
-        # of X over every included interval
-        self.events = []
+        js = np.flatnonzero(self.live) + 1
+        self.K = js.size
+        self.T = rs.n_events[js - 1].astype(float)
+        self.m = rs.n_at_risk[js - 1]
+        self.epochs = list(rs.epoch_rows(js))
+        # the event sum of X over every included interval
         self.SD = np.zeros(data.d)
-        for X, span, _ in self.epochs:
-            T = self.T[span].astype(np.intp)
-            at = np.repeat(np.arange(T.size), T)
-            rank = np.arange(at.size) - np.repeat(np.cumsum(T) - T, T)
-            rows = self.m[span][at] - T[at] + rank
-            self.events.append((rows, at))
-            self.SD += X[rows].sum(axis=0)
-        # four arrays of the largest tile over any of an epoch's
-        # intervals, reused by every pass, and ones to sum a tile's rows
-        # and columns with
-        tile = [(span.stop - span.start, X.shape[0], _risksets._TILE)
-                for X, span, _ in self.epochs]
-        self._scratch = np.empty((4, max((min(t, k * m) for k, m, t in tile),
-                                         default=0)))
-        self._ones = np.ones(max((min(t, max(k, m)) for k, m, t in tile),
-                                 default=0))
+        for X, span in self.epochs:
+            self.SD += X[self._events(span)[0]].sum(axis=0)
+
+    def _events(self, span):
+        """``(rows, at)`` of the events of an epoch's intervals ``span``:
+        their rows of the epoch and the position of their interval in
+        ``span``."""
+        T = self.T[span].astype(np.intp)
+        at = np.repeat(np.arange(T.size), T)
+        nth = np.arange(at.size) - np.repeat(np.cumsum(T) - T, T)
+        return self.m[span][at] - T[at] + nth, at
+
+    def _tiles(self, ks):
+        """Dense tiles over the risk sets of the included intervals
+        ``ks`` (positions of one epoch's intervals, increasing), made
+        one at a time.
+
+        Yields ``(rows, cols, scratch, ones)``: a slice of ``ks``, a
+        slice of the epoch's rows, four arrays of the epoch's largest
+        tile and ones to sum a tile's rows and columns with, the last
+        two made once per call.  A tile covers the first ``m_k`` columns
+        of each of its intervals ``k`` (members of later intervals come
+        first, so these are the risk set) and columns past an
+        interval's ``m_k``, which its caller masks; it holds at most
+        ``_TILE`` entries.
+        """
+        width = self.m[ks]
+        if not width.size:
+            return
+        budget = _risksets._TILE
+        scratch = np.empty((4, min(budget, width.size * int(width[0]))))
+        ones = np.ones(min(budget, max(width.size, int(width[0]))))
+        at = 0
+        while at < width.size:
+            m = int(width[at])
+            rows = min(width.size - at, max(1, budget // max(m, 1)))
+            step = budget // rows
+            for lo in range(0, m, step):
+                yield (slice(at, at + rows), slice(lo, min(lo + step, m)),
+                       scratch, ones)
+            at += rows
 
     def _clear(self, A, rows, cols, m, value):
         """Set the entries of tile ``A`` past each interval's risk set
@@ -169,13 +201,13 @@ class _PersonPeriod:
             tail[np.arange(cols.start + full, cols.stop)[None, :]
                  >= m[rows, None]] = value
 
-    def _probs(self, b0, eta, rows, cols, m):
-        """``(Z, E, Q, P)`` of one tile, in the scratch space:
+    def _probs(self, scratch, b0, eta, rows, cols, m):
+        """``(Z, E, Q, P)`` of one tile, in ``scratch``:
         ``E = e^{-|Z|}``, ``Q = 1/(1+E)`` and the fitted probabilities
         ``P``, with ``Z = -inf`` past a risk set."""
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         Z, E, Q, P = (w[:shape[0] * shape[1]].reshape(shape)
-                      for w in self._scratch)
+                      for w in scratch)
         np.add(b0[rows, None], eta[None, cols], out=Z)
         self._clear(Z, rows, cols, m, -np.inf)
         np.abs(Z, out=E)
@@ -187,8 +219,8 @@ class _PersonPeriod:
         np.copyto(P, Q, where=Z >= 0.0)
         return Z, E, Q, P
 
-    def _tile(self, b0, eta, rows, cols, m, moments=True):
-        """``(P, V, log)`` of one tile, in the scratch space: the fitted
+    def _tile(self, scratch, b0, eta, rows, cols, m, moments=True):
+        """``(P, V, log)`` of one tile, in ``scratch``: the fitted
         probabilities and, with ``moments``, their variances
         ``V = P (1 - P)`` and the sum of ``log(1 + e^Z)``.
 
@@ -204,7 +236,7 @@ class _PersonPeriod:
         """
         c = float(eta[cols].max())
         if float(b0[rows].max()) + c > 0.0:
-            Z, E, Q, P = self._probs(b0, eta, rows, cols, m)
+            Z, E, Q, P = self._probs(scratch, b0, eta, rows, cols, m)
             if not moments:
                 return P, None, None
             # log(1 + e^Z) = max(Z, 0) + log1p(E); V = E Q^2
@@ -215,7 +247,7 @@ class _PersonPeriod:
             return P, V, log
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         L, E, W, P = (w[:shape[0] * shape[1]].reshape(shape)
-                      for w in self._scratch)
+                      for w in scratch)
         np.multiply(np.exp(b0[rows, None] + c), np.exp(eta[None, cols] - c),
                     out=E)
         self._clear(E, rows, cols, m, 0.0)
@@ -226,11 +258,13 @@ class _PersonPeriod:
         log = float(np.log1p(E, out=L).sum())
         return P, np.divide(P, W, out=E), log
 
-    def _split(self, b0, eta, span, tiles):
-        """``(ks, tiles, series)`` of one epoch: the intervals ``ks`` left
-        to ``tiles``, and ``(positions, M)`` of those whose odds stay at
-        most ``_RHO`` (or None), ``M`` the fewest terms that bound the
-        truncation, ``(M + 1) rho^M / (1 - rho)^2``, by ``2^-56``."""
+    def _split(self, b0, eta, span):
+        """``(ks, series)`` of one epoch: the positions ``ks`` of the
+        intervals left to the tiles, and ``(positions, M)`` of those
+        whose odds stay at most ``_RHO`` (or None), ``M`` the fewest
+        terms that bound the truncation, ``(M + 1) rho^M / (1 - rho)^2``,
+        by ``2^-56``."""
+        ks = np.arange(span.start, span.stop)
         m = self.m[span]
         top = b0[span] + np.maximum.accumulate(eta)[m - 1]
         ok = top <= np.log(_RHO)
@@ -241,11 +275,8 @@ class _PersonPeriod:
                      if (t + 1) * rho ** t <= 2.0 ** -56 * (1.0 - rho) ** 2)
             spread = float(eta[:rows].max() - eta[:rows].min())
             if M * spread <= _SPREAD and m[ok].sum() > _SERIES_GAIN * M * rows:
-                ks = np.arange(span.start, span.stop)
-                rest = ks[~ok]
-                tiles = next(self.rs.tiles(self.js[rest]))[2] if rest.size else []
-                return rest, tiles, (ks[ok], M)
-        return np.arange(self.K), tiles, None
+                return ks[~ok], (ks[ok], M)
+        return ks, None
 
     def _series(self, eta, X, b0, at, M, out, ratio=None):
         """Adds each row's ``[P, V]`` (with ``ratio``, ``P [1 | ratio_k]``)
@@ -337,7 +368,7 @@ class _PersonPeriod:
         loglik = float(self.T @ b0 + self.m @ np.log1p(-p))
         C = np.empty((self.K, d))
         rb, F = self.SD.copy(), np.zeros((d, d))
-        for X, span, _ in self.epochs:
+        for X, span in self.epochs:
             m = self.m[span]
             head = np.zeros((X.shape[0] + 1, d))
             np.cumsum(X, axis=0, out=head[1:])
@@ -358,10 +389,10 @@ class _PersonPeriod:
         r0, a = self.T.copy(), np.zeros(self.K)
         C = np.zeros((self.K, d))
         rb, F = self.SD.copy(), np.zeros((d, d))
-        for X, span, tiles in self.epochs:
+        for X, span in self.epochs:
             eta = X @ beta
             col = np.zeros((2, eta.size))  # each row's sums of P and V
-            ks, tiles, series = self._split(b0, eta, span, tiles)
+            ks, series = self._split(b0, eta, span)
             if series is not None:
                 sums = self._series(eta, X, b0, *series, col)
                 at = series[0]
@@ -370,10 +401,9 @@ class _PersonPeriod:
                 a[at] += sums[2]
                 C[at] += sums[3:].T
             bk, mk = b0[ks], self.m[ks]
-            for rows, cols in tiles:
-                P, V, log = self._tile(bk, eta, rows, cols, mk)
-                row_sum, col_sum = (self._ones[:P.shape[1]],
-                                    self._ones[:P.shape[0]])
+            for rows, cols, scratch, ones in self._tiles(ks):
+                P, V, log = self._tile(scratch, bk, eta, rows, cols, mk)
+                row_sum, col_sum = ones[:P.shape[1]], ones[:P.shape[0]]
                 at = ks[rows]
                 loglik -= log
                 r0[at] -= P @ row_sum
@@ -394,11 +424,12 @@ class _PersonPeriod:
         resolves gains below the rounding of the log likelihood itself.
         """
         out = float(self.T @ step0 + self.SD @ step)
-        for X, _, tiles in self.epochs:
+        for X, span in self.epochs:
             eta, shift = X @ beta, X @ step
-            for rows, cols in tiles:
-                Z, _, _, P = self._probs(b0, eta, rows, cols, self.m)
-                delta = step0[rows, None] + shift[None, cols]
+            bk, sk, mk = b0[span], step0[span], self.m[span]
+            for rows, cols, scratch, _ in self._tiles(span):
+                Z, _, _, P = self._probs(scratch, bk, eta, rows, cols, mk)
+                delta = sk[rows, None] + shift[None, cols]
                 change = np.log1p(P * np.expm1(np.clip(delta, -1.0, 1.0)))
                 big = np.abs(delta) > 1.0
                 if big.any():
@@ -411,26 +442,37 @@ class _PersonPeriod:
     def subject_scores(self, b0, beta, ratio):
         """Rows ``q_i = sum_k resid_ik (X_i - ratio_k)`` over subject i's
         person-period rows, ``(n, d)`` in subject order."""
-        q = np.zeros((self.rs.n, beta.size))
-        for (X, span, tiles), (ev_rows, ev_at) in zip(self.epochs,
-                                                      self.events):
+        q = np.zeros((self.n, beta.size))
+        for X, span in self.epochs:
             eta = X @ beta
             # each row's sums of P [1 | ratio_k] over its intervals
             part = np.zeros((1 + beta.size, eta.size))
-            ks, tiles, series = self._split(b0, eta, span, tiles)
+            ks, series = self._split(b0, eta, span)
             if series is not None:
                 self._series(eta, X, b0, *series, part, ratio)
             bk, mk = b0[ks], self.m[ks]
-            for rows, cols in tiles:
-                P = self._tile(bk, eta, rows, cols, mk, moments=False)[0]
-                part[0, cols] += self._ones[:P.shape[0]] @ P
-                part[1:, cols] += (P.T @ ratio[ks[rows]]).T
+            for rows, cols, scratch, ones in self._tiles(ks):
+                P = self._tile(scratch, bk, eta, rows, cols, mk,
+                               moments=False)[0]
+                part[0, cols] += ones[:P.shape[0]] @ P
+                part[1:, cols] += ratio[ks[rows]].T @ P
             part = part[1:].T - X * part[0][:, None]
-            part[ev_rows] += X[ev_rows] - ratio[span][ev_at]
+            ev_rows, ev_at = self._events(span)
+            part[ev_rows] += (np.take(X, ev_rows, axis=0)
+                              - np.take(ratio[span], ev_at, axis=0))
             q[:eta.size] += part
-        out = np.empty_like(q)
-        out[self.rs.order] = q
-        return out
+        return np.take(q, self.rank, axis=0)
+
+
+def _person_period(data):
+    """The dataset's ``_PersonPeriod``, built on first use and kept in
+    its engine's store."""
+    rs = data.risk_sets
+    pp = rs.recall("person_period", None)
+    if pp is None:
+        pp = _PersonPeriod(data)
+        rs.keep("person_period", None, pp)
+    return pp
 
 
 @dataclass
@@ -494,7 +536,7 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
     check_settings(tol, max_iter, "fit_plogit: tol", "fit_plogit: max_iter")
     if data.d < 1:
         raise InputError("no covariates to fit")
-    pp = _PersonPeriod(data)
+    pp = _person_period(data)
     if not pp.K:
         raise InputError("no interval has both events and event-free members")
     n, J, live = data.n, data.n_intervals, pp.live
@@ -547,7 +589,8 @@ def fit_plogit(data: DiscreteSurvivalData, tol: float = 1e-9,
                 iterations=max_iter, score_norm=score_norm)
 
     beta0 = np.full(J, -np.inf)
-    beta0[pp.rs.n_events == pp.rs.n_at_risk] = np.inf
+    rs = data.risk_sets
+    beta0[rs.n_events == rs.n_at_risk] = np.inf
     beta0[live] = b0
 
     warnings = []
@@ -586,7 +629,7 @@ def plogit_variances(data: DiscreteSurvivalData, fit: PlogitFit):
     A fit of another dataset (``n``, ``d`` or ``included``) is an
     ``InputError``.
     """
-    pp = _PersonPeriod(data)
+    pp = _person_period(data)
     if (fit.n != data.n or fit.beta.size != data.d
             or not np.array_equal(fit.included, pp.live)):
         raise InputError(

@@ -150,10 +150,13 @@ def _robust_parts(data, rs, coef, keep, log_nu, eps, share, W):
                                before=lo)[:, 0]
     final = (rs.subject_sums(coef, ones, log_weight=log_nu, span=span)
              + rs.subject_sums(coef, eps[:, None], span="event"))[:, 0]
-    payload = np.concatenate(
-        [np.broadcast_to(W.T, (len(spans), n, d)), F[:, :, None]], axis=2)
+    # in C order, so that the engine gathers its rows with no copy of
+    # the whole array
+    payload = np.empty((len(spans), n, d + 1))
+    payload[:, :, :d] = W.T
+    payload[:, :, d] = F
     a = rs.aggregates(coef, squares=0, payload=payload)
-    _, free, events = rs.set_sums(
+    free, events = rs.set_sums(
         np.concatenate([payload, (F * F)[:, :, None]], axis=2))
 
     scale = a.shift + a.offset

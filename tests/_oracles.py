@@ -541,6 +541,44 @@ def engine_interval(rs, j, coef):
     return idx, X, D, X @ coef
 
 
+def subject_sums_loop(data, ks, center, coef, B, a=None, log_weight=None,
+                      span="all", before=None):
+    """``(sums, scale)``: per subject ``i`` the sum over the event
+    intervals ``k = ks[t]`` it takes of
+    ``e^{X_ik' coef + log_weight_t} (a_t (X_ik - center_t) + B_t)``, and
+    the same sum of the terms' absolute values, one subject and one
+    interval at a time.  ``span="all"`` takes every ``k <= y_i``,
+    ``"before_event"`` the same less an event's own interval, ``"event"``
+    only that one; ``before`` further keeps ``k < before``.  ``a`` and
+    ``log_weight`` of ``None`` drop their factors."""
+    n, p = data.n, B.shape[1]
+    sums, scale = np.zeros((n, p)), np.zeros((n, p))
+    for i in range(n):
+        y_i, event = int(data.y[i]), bool(data.delta[i])
+        for t, k in enumerate(ks):
+            own = event and k == y_i
+            if span == "all":
+                takes = k <= y_i
+            elif span == "before_event":
+                takes = k <= y_i and not own
+            else:
+                takes = own
+            if not takes or (before is not None and k >= before):
+                continue
+            x = data.covariates_at(int(k))[i]
+            term = B[t].astype(float)
+            size = np.abs(term)
+            if a is not None:
+                term = a[t] * (x - center[t]) + term
+                size = np.abs(a[t] * (x - center[t])) + size
+            if log_weight is not None:
+                w = math.exp(float(x @ coef) + log_weight[t])
+                term, size = w * term, w * size
+            sums[i] += term
+            scale[i] += size
+    return sums, scale
+
+
 def second_moments(X, D, w):
     """The literal second-order sums of one risk set under weights
     ``w``: ``S2, M2, SDw2`` sum ``w X X'`` over the risk set, its

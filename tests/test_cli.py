@@ -483,6 +483,19 @@ def test_a_non_finite_time_with_a_width_fails_with_input_error(
                         "record 1: non-finite time")
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "1,2,3"]],
+                         ids=["as-discrete", "grid"])
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_a_non_finite_time_names_its_record_on_any_grid(tmp_path, capsys,
+                                                        grid, time):
+    # as-discrete ingestion names the record as a given grid does,
+    # before the distinct times become the grid
+    path = tmp_path / "subjects.csv"
+    path.write_text(_SUBJECTS.replace("\n2,1,0,", f"\n2,{time},0,"))
+    _assert_input_error(capsys, ["fit", "--model", "prob", "--data", str(path),
+                                 *grid], "record 1: non-finite time")
+
+
 @pytest.mark.parametrize("content, message", [
     (b"[1, 2]", "the scenario must be a JSON object"),
     (b"5", "the scenario must be a JSON object"),
@@ -520,3 +533,46 @@ def test_a_bad_profile_or_curve_request_fails_before_any_fit(
     options = [str(tmp_path / v) if v.endswith(".csv") else v for v in options]
     _assert_input_error(capsys, ["fit", "--model", model, "--data",
                                  _subject_csv(tmp_path), *options], message)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the analysis ran")
+
+
+@pytest.mark.parametrize("command, option", [
+    (["fit", "--model", "prob"], "--json"),
+    (["fit", "--model", "odds", "--x0", "0,0"], "--curve"),
+    (["fit", "--model", "plogit"], "--json"),
+    (["discretize"], "--out"),
+    (["tables"], "--json"),
+    (["simulate"], "--out"),
+], ids=["fit-json", "fit-curve", "plogit-json", "discretize-out", "tables-json",
+        "simulate-out"])
+@pytest.mark.parametrize("place", ["missing", "file", "directory"])
+def test_a_bad_output_target_fails_before_any_analysis(
+        tmp_path, capsys, monkeypatch, command, option, place):
+    for name in ("fit_gamma", "fit_beta", "fit_plogit", "replicate",
+                 "risk_summary", "bp_two_sample", "wmh_two_sample"):
+        monkeypatch.setattr(dsurv.cli, name, _never)
+    if command[0] == "tables":
+        source = tmp_path / "tables.csv"
+        source.write_text("stratum,n11,n12,n21,n22\n1,4,6,2,8\n")
+        inputs = ["--data", str(source)]
+    elif command[0] == "simulate":
+        inputs = ["--scenario", _scenario_file(tmp_path, "s.json", 1)]
+    else:
+        inputs = ["--data", _subject_csv(tmp_path)]
+    before = sorted(tmp_path.rglob("*"))
+    if place == "missing":
+        target, message = tmp_path / "absent" / "out", (
+            f"{option}: no such directory: '{tmp_path / 'absent'}'")
+    elif place == "file":
+        target, message = tmp_path / "subjects.csv" / "out", (
+            f"{option}: not a directory: '{tmp_path / 'subjects.csv'}'")
+        (tmp_path / "subjects.csv").write_text(_SUBJECTS)
+        before = sorted(tmp_path.rglob("*"))
+    else:
+        target, message = tmp_path, f"{option}: '{tmp_path}' is a directory"
+    _assert_input_error(capsys, [*command, *inputs, option, str(target)],
+                        message)
+    assert sorted(tmp_path.rglob("*")) == before

@@ -21,9 +21,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import pathlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -41,10 +43,10 @@ from dsurv import (ConvergenceError, DiscreteSurvivalData, InputError, OddsFit,
                    var_model_based2, var_model_based2_odds,
                    var_model_based3_odds, var_model_based_odds, var_oldstyle,
                    var_robust, var_robust_odds, wmh_two_sample)
-from dsurv import odds, prob
+from dsurv import odds, plogit, prob
 from dsurv._risksets import RiskSets
 from dsurv.cli import main
-from dsurv.io import SubjectTable, build_data
+from dsurv.io import SubjectTable, build_data, read_subject_csv
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -115,6 +117,51 @@ def test_plogit_fit_and_variances_build_one_engine(counts):
     data = generate(SimScenario(reps=1, **_CRITERION_6), 0)
     plogit_variances(data, fit_plogit(data, full_fisher=False))
     assert counts["builds"] == 1
+
+
+def test_plogit_fit_and_variances_build_one_person_period(monkeypatch):
+    # the engine keeps it for the variances, in a replicate too
+    builds = []
+    init = plogit._PersonPeriod.__init__
+
+    def counted_init(self, data):
+        builds.append(1)
+        init(self, data)
+
+    monkeypatch.setattr(plogit._PersonPeriod, "__init__", counted_init)
+    data = generate(SimScenario(reps=1, **_CRITERION_6), 0)
+    plogit_variances(data, fit_plogit(data, full_fisher=False))
+    assert len(builds) == 1
+    summary = replicate(SimScenario(reps=2, **_CRITERION_6),
+                        methods=("plogit",), variance_kinds=("mb", "robust"))
+    assert summary.n_failed["plogit"] == 0
+    assert len(builds) == 3
+
+
+def test_an_analysed_dataset_frees_its_engine_without_the_cycle_collector():
+    # three fits, every variance and both curves on a three-epoch design:
+    # nothing the engine keeps refers back to it, so dropping the dataset
+    # frees the engine by reference counting alone
+    table = read_subject_csv(_VETERAN)
+    data = expand_step_terms(build_data(table, width=20.0),
+                             table.names.index("treat"), [100.0, 200.0])
+    x0 = np.zeros(data.d)
+    gc.collect()
+    gc.disable()
+    try:
+        engine = weakref.ref(data.risk_sets)
+        pfit, ofit = fit_gamma(data), fit_beta(data)
+        plogit_variances(data, fit_plogit(data))
+        for model, fit in (("prob", pfit), ("odds", ofit)):
+            for kind in odds.VARIANCES[model].values():
+                kind(data, fit)
+        prob_curve(data, pfit, x0=x0)
+        odds_curve(data, ofit, x0=x0)
+        assert engine() is not None
+        del data
+        assert engine() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,41 @@ def test_an_interval_above_the_bound_stays_on_the_tiles(excess):
         assert counts["series"] == 2 and counts["tiles"] > 0
 
 
+def test_tiles_are_made_only_for_the_intervals_the_series_leaves():
+    # one interval of each design has odds above the bound: a pass and
+    # the score rows visit its tiles only, and the series sums the rest
+    for seed in range(3):
+        data, beta = _small_design(seed)
+        K = int(o.plogit_person_period(data)[0].sum())
+        top = 0.5 * _RHO * np.exp(-np.random.default_rng(seed).exponential(
+            size=K))
+        top[K // 2] = 4.0 * _RHO
+        b0 = _intercepts_at(data, beta, top)
+        tiled, summed = [], []
+        tiles, series = _PersonPeriod._tiles, _PersonPeriod._series
+
+        def recorded_tiles(self, ks):
+            tiled.append(np.arange(self.K)[ks])
+            yield from tiles(self, ks)
+
+        def recorded_series(self, eta, X, b0, at, *args):
+            summed.append(at)
+            return series(self, eta, X, b0, at, *args)
+
+        with mock.patch.object(plogit, "_SERIES_GAIN", 0.0), \
+                mock.patch.object(_PersonPeriod, "_tiles", recorded_tiles), \
+                mock.patch.object(_PersonPeriod, "_series", recorded_series):
+            pp = _PersonPeriod(data)
+            assert not tiled
+            got = pp.evaluate(b0, beta)
+            pp.subject_scores(b0, beta, got.C / got.a[:, None])
+        tiled, summed = np.concatenate(tiled), np.concatenate(summed)
+        np.testing.assert_array_equal(tiled, [K // 2] * 2)
+        np.testing.assert_array_equal(np.sort(np.r_[tiled, summed]),
+                                      np.repeat(np.arange(K), 2))
+        assert all(len(epoch) == 2 for epoch in pp.epochs)  # (X, span)
+
+
 @pytest.mark.parametrize("spread", [40.0, 700.0])
 def test_an_eta_spread_past_the_guard_stays_on_the_tiles(spread):
     # odds at most 1e-3, so up to six terms: at an eta spread of 40 the
